@@ -109,16 +109,19 @@ def compactness_test(cfg: ToricConfig) -> VerdictEntry:
 _MAX_SUBSETS = 5000
 
 
-def _vertex_subsets(d, max_size, cap):
-    """All index subsets of size 1..max_size (bounded count)."""
+def _vertex_subsets(d, max_size):
+    """(index subsets of size 1..max_size, whether all of them are listed).
+
+    The listing stops after the first size that takes it past _MAX_SUBSETS.
+    """
     import itertools
 
     out = []
     for size in range(1, max_size + 1):
-        out.extend(itertools.combinations(range(d), size))
         if len(out) > _MAX_SUBSETS:
-            break
-    return out
+            return out, False
+        out.extend(itertools.combinations(range(d), size))
+    return out, True
 
 
 def freeness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
@@ -127,14 +130,18 @@ def freeness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
     Enumerates J with the stratum (all a_k = 0 = b_k, k in J) meeting K and
     checks that (u_k)_{k in J} extends to a Z-basis (Smith factors all 1).
     Subsets beyond size n+1 are redundant: their strata sit inside some
-    (n+1)-subset stratum that already fails by linear dependence.
+    (n+1)-subset stratum that already fails by linear dependence.  If
+    stratum_cap or the subset limit cut the enumeration short, a pass is
+    not established and the verdict is unknown.
     """
     options = Options.coerce(options)
     max_size = min(cfg.d, cfg.n + 1, options.stratum_cap)
+    subsets, complete = _vertex_subsets(cfg.d, max_size)
+    complete = complete and max_size == min(cfg.d, cfg.n + 1)
     violations = []
     unknown_risk = []
     checked = []
-    for J in _vertex_subsets(cfg.d, max_size, options.stratum_cap):
+    for J in subsets:
         sys = _stratum_system(cfg, vertex_indices=J)
         v = soc_feasible(sys, resolution=options.soc_resolution)
         if v.status == INFEASIBLE:
@@ -157,6 +164,9 @@ def freeness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
     if unknown_risk:
         return VerdictEntry("unknown", method="stratum-feasibility-unknown",
                             detail={"strata": checked, "at_risk": unknown_risk})
+    if not complete:
+        return VerdictEntry("unknown", method="stratum-enumeration-capped",
+                            detail={"strata": checked})
     return VerdictEntry("pass", method="smith-normal-form",
                         detail={"strata": checked})
 
@@ -329,7 +339,7 @@ def degeneracy_test(cfg: ToricConfig, options=None,
     candidates = list(extra_points)
     # vertex strata up to size n+1
     max_size = min(cfg.d, cfg.n + 1, options.stratum_cap)
-    for J in _vertex_subsets(cfg.d, max_size, options.stratum_cap):
+    for J in _vertex_subsets(cfg.d, max_size)[0]:
         v = soc_feasible(_stratum_system(cfg, vertex_indices=J),
                          resolution=options.soc_resolution)
         if v.status == FEASIBLE:

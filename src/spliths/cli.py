@@ -71,11 +71,23 @@ def config_from_dict(doc) -> tuple:
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ConfigError("options must be an object")
-    known = {f for f in Options.__dataclass_fields__}
-    bad = set(opts) - known
+    return cfg, _options(opts)
+
+
+def _options(values) -> Options:
+    """Options from a mapping: known names, integers only, and no negative
+    resolutions, sample counts or caps (the seed may be any integer)."""
+    bad = set(values) - set(Options.__dataclass_fields__)
     if bad:
         raise ConfigError("unknown options: %s" % ", ".join(sorted(bad)))
-    return cfg, Options(**opts)
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError("option %s must be an integer, not %r"
+                              % (name, value))
+        if name != "seed" and value < 0:
+            raise ConfigError("option %s must be >= 0, not %d"
+                              % (name, value))
+    return Options(**values)
 
 
 def load_config(path):
@@ -183,7 +195,7 @@ def _merge_options(options: Options, args) -> Options:
         return options
     merged = asdict(options)
     merged.update(upd)
-    return Options(**merged)
+    return _options(merged)
 
 
 def cmd_analyze(args) -> int:

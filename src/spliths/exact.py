@@ -121,12 +121,38 @@ class ComplexRational:
 I_C = ComplexRational(0, 1)
 
 
+def _square_part(m):
+    """(s, f) with m == s*s*f and f squarefree, for an integer m >= 1.
+
+    Trial division runs while p^3 <= m; what is left then has at most two
+    prime factors, so it is either a square or squarefree.
+    """
+    s = f = 1
+    p = 2
+    while p * p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                f *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, f
+    return s, f * m
+
+
 class QuadraticValue:
     """An exact value a + b*sqrt(disc) with rational a, b and disc >= 0.
 
-    Perfect-square discriminants collapse to plain rationals on construction,
-    so rational results of quadratic computations compare exactly against
-    Fractions.  Mixed-discriminant arithmetic is rejected.
+    The form is canonical: disc is a squarefree integer (its square factor
+    and denominator move into b), perfect squares collapse to plain
+    rationals, and a rational value has b == disc == 0.  So equal values
+    have equal fields, and a rational value compares and hashes like its
+    Fraction.  Mixed-discriminant arithmetic is rejected.
     """
 
     __slots__ = ("a", "b", "disc")
@@ -143,7 +169,21 @@ class QuadraticValue:
             root = sqrt_fraction(disc)
             if root is not None:
                 a, b, disc = a + b * root, Fraction(0), Fraction(0)
+            else:
+                # sqrt(p/q) = (sp / (sq fq)) sqrt(fp fq), p = sp^2 fp, q = sq^2 fq
+                sp, fp = _square_part(disc.numerator)
+                sq, fq = _square_part(disc.denominator)
+                b *= Fraction(sp, sq * fq)
+                disc = Fraction(fp * fq)
         self.a, self.b, self.disc = a, b, disc
+
+    @classmethod
+    def _canonical(cls, a, b, disc) -> "QuadraticValue":
+        """Build from fields already in canonical form (disc squarefree)."""
+        value = object.__new__(cls)
+        value.a, value.b = a, b
+        value.disc = disc if b != 0 else Fraction(0)
+        return value
 
     @classmethod
     def coerce(cls, value) -> "QuadraticValue":
@@ -168,23 +208,25 @@ class QuadraticValue:
 
     def __add__(self, other):
         other, disc = self._match(other)
-        return QuadraticValue(self.a + other.a, self.b + other.b, disc)
+        return QuadraticValue._canonical(self.a + other.a, self.b + other.b,
+                                         disc)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other, disc = self._match(other)
-        return QuadraticValue(self.a - other.a, self.b - other.b, disc)
+        return QuadraticValue._canonical(self.a - other.a, self.b - other.b,
+                                         disc)
 
     def __rsub__(self, other):
         return QuadraticValue.coerce(other) - self
 
     def __neg__(self):
-        return QuadraticValue(-self.a, -self.b, self.disc)
+        return QuadraticValue._canonical(-self.a, -self.b, self.disc)
 
     def __mul__(self, other):
         other, disc = self._match(other)
-        return QuadraticValue(
+        return QuadraticValue._canonical(
             self.a * other.a + self.b * other.b * disc,
             self.a * other.b + self.b * other.a,
             disc,
@@ -209,13 +251,16 @@ class QuadraticValue:
         return (diff < 0) - (diff > 0)
 
     def __eq__(self, other):
-        try:
-            other, _ = self._match(other)
-        except (TypeError, ValueError):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if not isinstance(other, QuadraticValue):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return (self.a == other.a and self.b == other.b
+                and self.disc == other.disc)
 
     def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.disc))
 
     def __float__(self):

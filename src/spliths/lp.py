@@ -3,14 +3,31 @@
 Variables are free (internally split into nonnegative pairs).  Feasibility
 answers are exact: a feasible witness is returned as Fractions, and an
 infeasible system comes with a Farkas combination that is re-verified before
-being handed out.  Problem sizes in this package are tiny, so the plain
-dense tableau is perfectly adequate.
+being handed out.
+
+The tableau is fraction-free.  Each row is a list of Python ints over one
+positive denominator of its own, with the right-hand side as the last entry,
+and stands for the rational row (entries / denominator).  A pivot scales the
+pivot row by its pivot entry; every other row with a nonzero entry in the
+pivot column, and the reduced-cost row, subtract a multiple of it in the
+columns where the pivot row is nonzero (the rest of the row is only
+rescaled, and only when the two denominators differ), and are then divided
+by the gcd of their entries and denominator: one gcd pass per touched row
+where Fraction arithmetic takes one per operation.  Pivot rows are sparse,
+so most of a row is never touched.
+
+Each row still equals, as rationals, the row of the textbook dense tableau,
+and the pivot choice reads only signs and the ratios rhs_i / a_ie, in which
+the row denominator cancels.  So the pivot sequence is Bland's rule exactly
+as on the dense Fraction tableau, and the witnesses, optimal values and
+Farkas certificates are the same Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact import as_fraction
 
@@ -58,8 +75,11 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
             return False
         if rel == LE and m > 0:
             return False
-        for j in range(nvars):
-            combo[j] += m * coeffs[j]
+        if m == 0:
+            continue
+        for j, c in enumerate(coeffs):
+            if c:
+                combo[j] += m * c
         total += m * rhs
     for j, c in enumerate(combo):
         if j in nonneg:
@@ -70,27 +90,67 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
     return total > 0
 
 
-def _pivot(tab, rhs, basis, row, col):
-    inv = Fraction(1) / tab[row][col]
-    tab[row] = [e * inv for e in tab[row]]
-    rhs[row] *= inv
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-            rhs[i] -= f * rhs[row]
+def _sub_multiple(row, den, num, mden, src, sden, cols):
+    """row/den - (num/mden) * (src/sden) as (ints, den) in lowest terms.
+
+    Only the columns `cols`, where src is nonzero, are updated; the rest of
+    the row is rescaled, and only when the denominators differ.
+    """
+    scale = mden * sden
+    factor = num * den
+    g = gcd(scale, factor)
+    scale //= g
+    factor //= g
+    if scale != 1:
+        row = [v * scale for v in row]
+        den *= scale
+    for j in cols:
+        row[j] -= factor * src[j]
+    g = gcd(den, *row)
+    if g != 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
+def _pivot(tab, dens, basis, row, col):
+    """Make column `col` the unit vector of `row`; returns the pivot row's
+    nonzero columns."""
+    prow = tab[row]
+    pden = prow[col]
+    if pden < 0:
+        prow = [-v for v in prow]
+        pden = -pden
+    g = gcd(pden, *prow)
+    if g != 1:
+        prow = [v // g for v in prow]
+        pden //= g
+    tab[row] = prow
+    dens[row] = pden
+    cols = [j for j, v in enumerate(prow) if v]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            tab[i], dens[i] = _sub_multiple(r, dens[i], r[col], dens[i],
+                                            prow, pden, cols)
     basis[row] = col
+    return cols
 
 
-def _simplex(tab, rhs, basis, cost, banned):
+def _simplex(tab, dens, basis, cost, banned):
     """Minimize cost over the tableau; Bland's rule.  Returns status."""
-    ncols = len(tab[0]) if tab else 0
+    ncols = len(tab[0]) - 1 if tab else 0
     # reduced-cost row r_j = c_j - c_B . column_j, maintained across pivots
-    zrow = list(cost)
+    # (its last entry is minus the objective value and is never read)
+    zden = lcm(*(c.denominator for c in cost))
+    zrow = [c.numerator * (zden // c.denominator) for c in cost]
+    zrow.append(0)
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb != 0:
-            zrow = [z - cb * a for z, a in zip(zrow, tab[i])]
+            r = tab[i]
+            zrow, zden = _sub_multiple(zrow, zden, cb.numerator, cb.denominator,
+                                       r, dens[i],
+                                       [j for j, v in enumerate(r) if v])
     basic = set(basis)
     for _ in range(_MAX_PIVOTS):
         entering = None
@@ -100,23 +160,26 @@ def _simplex(tab, rhs, basis, cost, banned):
                 break
         if entering is None:
             return "optimal"
+        # minimum ratio rhs_i / a_i over a_i > 0; the row denominator cancels
         leaving = None
-        best = None
-        for i in range(len(tab)):
-            if tab[i][entering] > 0:
-                ratio = rhs[i] / tab[i][entering]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+        for i, r in enumerate(tab):
+            a = r[entering]
+            if a > 0:
+                if leaving is None:
+                    leaving, best_rhs, best_a = i, r[-1], a
+                    continue
+                lhs, rhs = r[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, r[-1], a
         if leaving is None:
             return "unbounded:%d" % entering
         basic.discard(basis[leaving])
         basic.add(entering)
-        _pivot(tab, rhs, basis, leaving, entering)
+        cols = _pivot(tab, dens, basis, leaving, entering)
         f = zrow[entering]
         if f != 0:
-            zrow = [z - f * a for z, a in zip(zrow, tab[leaving])]
+            zrow, zden = _sub_multiple(zrow, zden, f, zden, tab[leaving],
+                                       dens[leaving], cols)
     raise RuntimeError("simplex failed to terminate")
 
 
@@ -130,83 +193,83 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     """
     constraints = _norm_constraints(nvars, constraints)
     nonneg = set(nonneg)
-    m = len(constraints)
     flips = []
-    rows = []
+    rels = []
     for coeffs, rel, rhs in constraints:
         # flip rows so rhs >= 0, and turn ">= 0" into "<= 0" so the slack
         # can start basic (no artificial variable needed)
         if rhs < 0 or (rel == GE and rhs == 0):
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             flips.append(Fraction(-1))
         else:
             flips.append(Fraction(1))
-        rows.append((coeffs, rel, rhs))
+        rels.append(rel)
 
     # column layout: one column per variable, plus a negative-part column
-    # for every free (sign-unrestricted) variable
+    # for every free (sign-unrestricted) variable, then slacks, artificials
+    # and the right-hand side
     neg_col = {}
     at = nvars
     for j in range(nvars):
         if j not in nonneg:
             neg_col[j] = at
             at += 1
-    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
-    nart = sum(1 for _, rel, _ in rows if rel != LE)
+    nslack = sum(1 for rel in rels if rel != EQ)
+    nart = sum(1 for rel in rels if rel != LE)
     ncols = at + nslack + nart
     nx = at
     tab = []
-    rhs_col = []
+    dens = []
     basis = []
     init_basis = []
     art_cols = set()
     s_at = nx
     a_at = nx + nslack
-    for coeffs, rel, rhs in rows:
-        row = [Fraction(0)] * ncols
-        for j, c in enumerate(coeffs):
-            row[j] = c
+    for (coeffs, _, rhs), rel, flip in zip(constraints, rels, flips):
+        nonzero = [(j, c.numerator, c.denominator)
+                   for j, c in enumerate(coeffs) if c]
+        # lcm of the denominators: the integer row is in lowest terms
+        den = lcm(rhs.denominator, *[q for _, _, q in nonzero])
+        sign = flip.numerator
+        row = [0] * (ncols + 1)
+        for j, p, q in nonzero:
+            v = sign * p * (den // q)
+            row[j] = v
             if j in neg_col:
-                row[neg_col[j]] = -c
+                row[neg_col[j]] = -v
+        row[ncols] = sign * rhs.numerator * (den // rhs.denominator)
         if rel == LE:
-            row[s_at] = Fraction(1)
+            row[s_at] = den
             basis.append(s_at)
             init_basis.append(s_at)
             s_at += 1
-        elif rel == GE:
-            row[s_at] = Fraction(-1)
-            s_at += 1
-            row[a_at] = Fraction(1)
-            basis.append(a_at)
-            init_basis.append(a_at)
-            art_cols.add(a_at)
-            a_at += 1
         else:
-            row[a_at] = Fraction(1)
+            if rel == GE:
+                row[s_at] = -den
+                s_at += 1
+            row[a_at] = den
             basis.append(a_at)
             init_basis.append(a_at)
             art_cols.add(a_at)
             a_at += 1
         tab.append(row)
-        rhs_col.append(rhs)
+        dens.append(den)
 
     # phase 1
     if art_cols:
         cost1 = [Fraction(0)] * ncols
         for j in art_cols:
             cost1[j] = Fraction(1)
-        status = _simplex(tab, rhs_col, basis, cost1, banned=set())
+        status = _simplex(tab, dens, basis, cost1, banned=set())
         assert status == "optimal"
-        p1val = sum(rhs_col[i] for i in range(len(tab)) if basis[i] in art_cols)
+        art_rows = [i for i in range(len(tab)) if basis[i] in art_cols]
+        p1val = sum(Fraction(tab[i][-1], dens[i]) for i in art_rows)
         if p1val > 0:
-            y = []
-            for i in range(m):
-                col = init_basis[i]
-                yi = sum(cost1[basis[r]] * tab[r][col] for r in range(len(tab))
-                         if cost1[basis[r]] != 0)
-                y.append(yi)
+            # y_i = c_B . (column of row i's initial basic variable); the
+            # phase-1 cost is 1 on artificials and 0 elsewhere
+            y = [sum(Fraction(tab[r][col], dens[r])
+                     for r in art_rows if tab[r][col])
+                 for col in init_basis]
             mult = [f * yi for f, yi in zip(flips, y)]
             if not verify_farkas(nvars, constraints, mult, nonneg):
                 raise AssertionError("extracted Farkas certificate failed to verify")
@@ -220,14 +283,14 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
                 if col is None:
                     drop.append(i)
                 else:
-                    _pivot(tab, rhs_col, basis, i, col)
+                    _pivot(tab, dens, basis, i, col)
         for i in reversed(drop):
-            del tab[i], rhs_col[i], basis[i]
+            del tab[i], dens[i], basis[i]
 
     def witness():
         vals = [Fraction(0)] * ncols
         for i, b in enumerate(basis):
-            vals[b] = rhs_col[i]
+            vals[b] = Fraction(tab[i][-1], dens[i])
         return [vals[j] - (vals[neg_col[j]] if j in neg_col else 0)
                 for j in range(nvars)]
 
@@ -242,7 +305,7 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
         cost2[j] = c
         if j in neg_col:
             cost2[neg_col[j]] = -c
-    status = _simplex(tab, rhs_col, basis, cost2, banned=art_cols)
+    status = _simplex(tab, dens, basis, cost2, banned=art_cols)
     if status.startswith("unbounded"):
         return LPResult(status="unbounded")
     x = witness()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spliths import analysis
 from spliths.analysis import (Options, analyze, cint_probe, compactness_test,
                               connectedness_test, degeneracy_test,
                               freeness_test, sample_points, smoothness_test)
@@ -115,6 +116,21 @@ def test_freeness_vertex_strata_skipped_when_empty():
     assert res.status == "pass"
     js = {entry["J"] for entry in res.detail["strata"]}
     assert (1,) not in js
+
+
+def test_freeness_capped_enumeration_is_unknown(monkeypatch):
+    # (u_0, u_1) does not extend to a Z-basis; only the 2-subset shows it
+    cfg = ToricConfig([[1, 1], [1, -1]])
+    assert freeness_test(cfg).status == "fail"
+    capped = freeness_test(cfg, Options(stratum_cap=1))
+    assert capped.status == "unknown"
+    assert capped.method == "stratum-enumeration-capped"
+    # a pass found before the subset limit stops the listing is not a pass
+    fam = example_family(1, 1)
+    monkeypatch.setattr(analysis, "_MAX_SUBSETS", 1)
+    res = freeness_test(fam)
+    assert res.status == "unknown"
+    assert res.method == "stratum-enumeration-capped"
 
 
 def test_smoothness_trivial_and_failing():

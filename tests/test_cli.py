@@ -36,6 +36,26 @@ def test_config_validation_errors():
         config_from_dict(dict(MODEL_DOC, options={"resolution": 3}))
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"sweep_resolution": "abc"}, "sweep_resolution must be an integer"),
+    ({"samples": True}, "samples must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"soc_resolution": -1}, "soc_resolution must be >= 0"),
+    ({"sweep_resolution": -720}, "sweep_resolution must be >= 0"),
+    ({"samples": -3}, "samples must be >= 0"),
+    ({"stratum_cap": -1}, "stratum_cap must be >= 0"),
+])
+def test_config_option_validation(options, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(dict(MODEL_DOC, options=options))
+
+
+def test_config_options_accept_integers():
+    _, opts = config_from_dict(dict(MODEL_DOC, options={
+        "seed": -4, "samples": 0, "stratum_cap": 3}))
+    assert opts == Options(seed=-4, samples=0, stratum_cap=3)
+
+
 def test_report_json_round_trips(tmp_path):
     cfg, _ = config_from_dict(MODEL_DOC)
     report = analyze(cfg, Options(samples=4))
@@ -129,6 +149,17 @@ def test_cli_input_errors(tmp_path):
     res = run_cli(["analyze", str(bad)])
     assert res.returncode == 1
     assert "lambda1[0]" in res.stderr
+    for options in ({"sweep_resolution": "abc"}, {"samples": -1}):
+        bad.write_text(json.dumps(dict(MODEL_DOC, options=options)))
+        res = run_cli(["analyze", str(bad)])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: option ")
+        assert len(res.stderr.splitlines()) == 1
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(MODEL_DOC))
+    res = run_cli(["analyze", str(good), "--samples=-2"])
+    assert res.returncode == 1
+    assert res.stderr == "error: option samples must be >= 0, not -2\n"
 
 
 def test_cli_verify_subcommands():

@@ -52,3 +52,38 @@ def test_quadratic_value_signs():
 def test_quadratic_value_rejects_mixed_discriminants():
     with pytest.raises(ValueError):
         QuadraticValue(0, 1, 2) + QuadraticValue(0, 1, 3)
+
+
+def test_quadratic_value_discriminant_is_squarefree():
+    assert QuadraticValue(0, 1, 8) == QuadraticValue(0, 2, 2)
+    assert hash(QuadraticValue(0, 1, 8)) == hash(QuadraticValue(0, 2, 2))
+    v = QuadraticValue(1, 1, 12)
+    assert (v.a, v.b, v.disc) == (1, 2, 3)
+    # sqrt(1/2) = sqrt(2)/2 and sqrt(9/20) = 3 sqrt(5)/10
+    assert QuadraticValue(0, 1, Fraction(1, 2)) == QuadraticValue(
+        0, Fraction(1, 2), 2)
+    w = QuadraticValue(0, 1, Fraction(9, 20))
+    assert (w.b, w.disc) == (Fraction(3, 10), 5)
+    # reduced forms share a discriminant, so they combine
+    assert QuadraticValue(0, 1, 8) + QuadraticValue(0, 1, 2) == QuadraticValue(
+        0, 3, 2)
+    # square factors past trial division (a large prime squared) and a
+    # squarefree product of two large primes
+    big = 1000003
+    u = QuadraticValue(0, 1, 2 * big * big)
+    assert (u.b, u.disc) == (big, 2)
+    assert QuadraticValue(0, 1, big * 1000033).disc == big * 1000033
+    assert QuadraticValue(0, 1, 8) != QuadraticValue(0, 1, 2)
+    assert QuadraticValue(0, 1, 2) != QuadraticValue(0, 1, 3)
+
+
+def test_quadratic_value_rational_hashes_like_fraction():
+    assert QuadraticValue(3) == Fraction(3) == 3
+    assert hash(QuadraticValue(3)) == hash(Fraction(3)) == hash(3)
+    half = QuadraticValue(Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    # a perfect-square discriminant collapses before hashing
+    assert hash(QuadraticValue(1, 2, 9)) == hash(Fraction(7))
+    w = QuadraticValue(1, 1, 2)
+    assert hash(w - w) == hash(0) and (w - w).disc == 0

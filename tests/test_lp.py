@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spliths.lp import EQ, GE, LE, lp_feasible, solve_lp, verify_farkas
 
 
@@ -107,3 +110,206 @@ def test_random_optima_are_optimal_among_grid(rng):
                 ok = ok and (lhs <= rhs if rel == LE else lhs >= rhs)
             if ok:
                 assert sum(c * v for c, v in zip(obj, p)) <= res.value
+
+
+# -- differential check against the dense Fraction tableau -------------------
+#
+# The reference below is the textbook dense tableau this module's
+# fraction-free kernel replaced: Fraction rows, every pivot over the full
+# width.  Both follow Bland's rule with the same ratio test and tie-break,
+# so they must take the same pivots and return identical results.
+
+
+def _dense_pivot(tab, rhs, basis, row, col):
+    inv = Fraction(1) / tab[row][col]
+    tab[row] = [e * inv for e in tab[row]]
+    rhs[row] *= inv
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+            rhs[i] -= f * rhs[row]
+    basis[row] = col
+
+
+def _dense_simplex(tab, rhs, basis, cost, banned):
+    ncols = len(tab[0]) if tab else 0
+    zrow = list(cost)
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0:
+            zrow = [z - cb * a for z, a in zip(zrow, tab[i])]
+    basic = set(basis)
+    while True:
+        entering = None
+        for j in range(ncols):
+            if zrow[j] < 0 and j not in banned and j not in basic:
+                entering = j
+                break
+        if entering is None:
+            return "optimal"
+        leaving = None
+        best = None
+        for i in range(len(tab)):
+            if tab[i][entering] > 0:
+                ratio = rhs[i] / tab[i][entering]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return "unbounded:%d" % entering
+        basic.discard(basis[leaving])
+        basic.add(entering)
+        _dense_pivot(tab, rhs, basis, leaving, entering)
+        f = zrow[entering]
+        if f != 0:
+            zrow = [z - f * a for z, a in zip(zrow, tab[leaving])]
+
+
+def _dense_solve_lp(nvars, constraints, objective=None, maximize=False,
+                    nonneg=()):
+    """(status, x, value, farkas) from the dense Fraction tableau."""
+    nonneg = set(nonneg)
+    m = len(constraints)
+    flips = []
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        if rhs < 0 or (rel == GE and rhs == 0):
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            flips.append(Fraction(-1))
+        else:
+            flips.append(Fraction(1))
+        rows.append((coeffs, rel, rhs))
+    neg_col = {}
+    at = nvars
+    for j in range(nvars):
+        if j not in nonneg:
+            neg_col[j] = at
+            at += 1
+    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
+    nart = sum(1 for _, rel, _ in rows if rel != LE)
+    ncols = at + nslack + nart
+    nx = at
+    tab, rhs_col, basis, init_basis, art_cols = [], [], [], [], set()
+    s_at = nx
+    a_at = nx + nslack
+    for coeffs, rel, rhs in rows:
+        row = [Fraction(0)] * ncols
+        for j, c in enumerate(coeffs):
+            row[j] = c
+            if j in neg_col:
+                row[neg_col[j]] = -c
+        if rel == LE:
+            row[s_at] = Fraction(1)
+            basis.append(s_at)
+            init_basis.append(s_at)
+            s_at += 1
+        else:
+            if rel == GE:
+                row[s_at] = Fraction(-1)
+                s_at += 1
+            row[a_at] = Fraction(1)
+            basis.append(a_at)
+            init_basis.append(a_at)
+            art_cols.add(a_at)
+            a_at += 1
+        tab.append(row)
+        rhs_col.append(rhs)
+    if art_cols:
+        cost1 = [Fraction(0)] * ncols
+        for j in art_cols:
+            cost1[j] = Fraction(1)
+        assert _dense_simplex(tab, rhs_col, basis, cost1, set()) == "optimal"
+        p1val = sum(rhs_col[i] for i in range(len(tab))
+                    if basis[i] in art_cols)
+        if p1val > 0:
+            y = []
+            for i in range(m):
+                col = init_basis[i]
+                y.append(sum(cost1[basis[r]] * tab[r][col]
+                             for r in range(len(tab))
+                             if cost1[basis[r]] != 0))
+            return "infeasible", None, None, [f * yi
+                                              for f, yi in zip(flips, y)]
+        drop = []
+        for i in range(len(tab)):
+            if basis[i] in art_cols:
+                col = next((j for j in range(nx + nslack)
+                            if tab[i][j] != 0), None)
+                if col is None:
+                    drop.append(i)
+                else:
+                    _dense_pivot(tab, rhs_col, basis, i, col)
+        for i in reversed(drop):
+            del tab[i], rhs_col[i], basis[i]
+
+    def witness():
+        vals = [Fraction(0)] * ncols
+        for i, b in enumerate(basis):
+            vals[b] = rhs_col[i]
+        return [vals[j] - (vals[neg_col[j]] if j in neg_col else 0)
+                for j in range(nvars)]
+
+    if objective is None:
+        return "optimal", witness(), None, None
+    cost2 = [Fraction(0)] * ncols
+    for j, c in enumerate(objective):
+        c = -c if maximize else c
+        cost2[j] = c
+        if j in neg_col:
+            cost2[neg_col[j]] = -c
+    if _dense_simplex(tab, rhs_col, basis, cost2, art_cols).startswith(
+            "unbounded"):
+        return "unbounded", None, None, None
+    x = witness()
+    return "optimal", x, sum(c * xi for c, xi in zip(objective, x)), None
+
+
+def _circle(k):
+    """cos and sin of the rational circle point t = k/12: denominators 1+t^2."""
+    t = Fraction(k, 12)
+    return [(1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)]
+
+
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.sampled_from([Fraction(0)] * 4),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+    st.builds(lambda k, i, neg: -_circle(k)[i] if neg else _circle(k)[i],
+              st.integers(-12, 12), st.integers(0, 1), st.booleans()),
+)
+
+
+@st.composite
+def _lps(draw):
+    n = draw(st.integers(1, 4))
+    cons = [(draw(st.lists(_VALUES, min_size=n, max_size=n)),
+             draw(st.sampled_from([LE, GE, EQ])), draw(_VALUES))
+            for _ in range(draw(st.integers(1, 6)))]
+    # positive multiples of earlier rows tie in the ratio test
+    for i in draw(st.lists(st.integers(0, len(cons) - 1), max_size=3)):
+        coeffs, rel, rhs = cons[i]
+        f = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 5)]))
+        cons.append(([f * c for c in coeffs], rel, f * rhs))
+    nonneg = draw(st.sets(st.integers(0, n - 1)))
+    objective = draw(st.none() | st.lists(_VALUES, min_size=n, max_size=n))
+    return n, cons, nonneg, objective, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lps())
+def test_matches_dense_fraction_tableau(lp):
+    n, cons, nonneg, objective, maximize = lp
+    res = solve_lp(n, cons, objective=objective, maximize=maximize,
+                   nonneg=nonneg)
+    ref = _dense_solve_lp(n, cons, objective, maximize, nonneg)
+    assert (res.status, res.x, res.value, res.farkas) == ref
+    for got in (res.x, res.farkas):
+        assert got is None or all(type(v) is Fraction for v in got)
+    if res.status == "infeasible":
+        assert verify_farkas(n, cons, res.farkas, nonneg)
+    elif res.status == "optimal":
+        _check_witness(n, cons, res.x)
