@@ -91,9 +91,6 @@ class SplitQuaternion:
     def real(self) -> Fraction:
         return self.x
 
-    def is_imaginary(self) -> bool:
-        return self.x == 0
-
     def is_zero(self) -> bool:
         return self.coefficients() == (0, 0, 0, 0)
 

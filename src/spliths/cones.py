@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import as_fraction, sqrt_fraction
+from .exact import as_fraction
 from .lp import EQ, GE, LE, lp_feasible, solve_lp
 
 FEASIBLE, INFEASIBLE, UNKNOWN = "feasible", "infeasible", "unknown"
@@ -88,10 +88,6 @@ class SOCSystem:
         return (all(e(x) == 0 for e in self.eqs)
                 and all(h(x) >= 0 for h in self.ineqs)
                 and all(c.satisfied(x) for c in self.cones))
-
-    def copy(self):
-        return SOCSystem(self.nvars, list(self.eqs), list(self.ineqs),
-                         list(self.cones))
 
 
 @dataclass
@@ -557,7 +553,3 @@ def positively_spanning(u_columns) -> bool:
                 return False
             assert res.status == "optimal" and res.value == 0
     return True
-
-
-def rational_sqrt_or_none(value):
-    return sqrt_fraction(value)

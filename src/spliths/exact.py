@@ -101,6 +101,8 @@ class ComplexRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):

@@ -4,11 +4,16 @@ Coordinates are blocked per quaternionic slot in the order (x, y, u, v),
 i.e. (Re z, Im z, Re w, Im w) under the complex splitting xi = z + w s.
 I, S, T are the right multiplications by -i, s, t; all coefficients are
 constant, so the three 2-forms and the associated 4-form are closed for free.
+The metric is diagonal and each 2-form's matrix is a signed permutation (one
+entry +-1 per row), so both are evaluated from their nonzero entries: vectors
+are scaled to integers over one denominator and each value is one integer sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .algebra import BASIS, SplitQuaternion
@@ -28,23 +33,31 @@ def right_mult_matrix(q: SplitQuaternion, n: int):
     return out
 
 
-def left_mult_matrix(q: SplitQuaternion, n: int):
-    """Real 4n x 4n matrix of xi -> q xi on B^n."""
-    cols = [(q * b).coefficients() for b in BASIS]
-    block = [[cols[j][i] for j in range(4)] for i in range(4)]
-    out = linalg.zeros(4 * n, 4 * n)
-    for s in range(n):
-        for i in range(4):
-            for j in range(4):
-                out[4 * s + i][4 * s + j] = block[i][j]
-    return out
-
-
 def metric_matrix(n: int):
     out = linalg.zeros(4 * n, 4 * n)
     for s in range(n):
         for i in range(4):
             out[4 * s + i][4 * s + i] = _SLOT_METRIC[i]
+    return out
+
+
+def _nonzeros(m):
+    """The nonzero entries (i, j, c) of an integer matrix, c an int."""
+    return [(i, j, int(e)) for i, row in enumerate(m)
+            for j, e in enumerate(row) if e]
+
+
+def _integer_vector(v):
+    """(ints, den) with v[i] == ints[i] / den."""
+    den = lcm(*(e.denominator for e in v))
+    return [e.numerator * (den // e.denominator) for e in v], den
+
+
+def _apply(entries, ints):
+    """M y in integers, M given by its nonzero entries."""
+    out = [0] * len(ints)
+    for i, j, c in entries:
+        out[i] += c * ints[j]
     return out
 
 
@@ -79,6 +92,9 @@ class FlatStructure:
         self.omega_I = linalg.mat_mul(linalg.transpose(self.I), self.G)
         self.omega_S = linalg.mat_mul(linalg.transpose(self.S), self.G)
         self.omega_T = linalg.mat_mul(linalg.transpose(self.T), self.G)
+        self._metric_entries = _nonzeros(self.G)
+        self._form_entries = {name: _nonzeros(self.form_matrix(name))
+                              for name in ("I", "S", "T")}
 
     def _check_dim(self, *vectors):
         for v in vectors:
@@ -92,13 +108,26 @@ class FlatStructure:
     def form_matrix(self, name: str):
         return {"I": self.omega_I, "S": self.omega_S, "T": self.omega_T}[name]
 
+    def _gram(self, entries, rows, cols):
+        self._check_dim(*rows, *cols)
+        images = [(_apply(entries, ints), den)
+                  for ints, den in map(_integer_vector, cols)]
+        return [[Fraction(sum(map(mul, xs, my)), dx * dy) for my, dy in images]
+                for xs, dx in map(_integer_vector, rows)]
+
     def metric(self, x, y) -> Fraction:
-        self._check_dim(x, y)
-        return linalg.vec_dot(x, linalg.mat_vec(self.G, y))
+        return self._gram(self._metric_entries, [x], [y])[0][0]
 
     def omega(self, name: str, x, y) -> Fraction:
-        self._check_dim(x, y)
-        return linalg.vec_dot(x, linalg.mat_vec(self.form_matrix(name), y))
+        return self._gram(self._form_entries[name], [x], [y])[0][0]
+
+    def metric_gram(self, vectors):
+        """[[g(x, y) for y in vectors] for x in vectors]."""
+        return self._gram(self._metric_entries, vectors, vectors)
+
+    def omega_gram(self, name: str, vectors):
+        """[[omega_name(x, y) for y in vectors] for x in vectors]."""
+        return self._gram(self._form_entries[name], vectors, vectors)
 
     def evaluate(self, x, y):
         """(g, omega_I, omega_S, omega_T) on a pair of tangent vectors."""

@@ -101,15 +101,13 @@ def induced_structure(cfg: ToricConfig, z, w) -> InducedStructure:
         raise NotOnLevelSet("moment map does not vanish at this point")
     flat = flat_structure(cfg.d)
     if torus.dim == 0:
-        dim = 4 * cfg.d
-        basis = [linalg.identity(dim)[i] for i in range(dim)]
-        return _assemble(flat, basis)
+        basis = linalg.identity(4 * cfg.d)
+        return _assemble(flat, basis, flat.metric_gram(basis))
 
     orbit = orbit_tangent_vectors(cfg, torus, z, w)
     if linalg.rank(orbit) < torus.dim:
         raise DegenerateAtPoint("orbit tangent space has deficient dimension")
-    orbit_gram = [[flat.metric(x, y) for y in orbit] for x in orbit]
-    if linalg.det(orbit_gram) == 0:
+    if linalg.det(flat.metric_gram(orbit)) == 0:
         raise DegenerateAtPoint("orbit tangent space meets its complement")
 
     dmu = moment_differential(cfg, torus, z, w)
@@ -121,20 +119,26 @@ def induced_structure(cfg: ToricConfig, z, w) -> InducedStructure:
     if len(horizontal) != expected:
         raise DegenerateAtPoint("horizontal space has dimension %d != %d"
                                 % (len(horizontal), expected))
-    gram = [[flat.metric(x, y) for y in horizontal] for x in horizontal]
+    gram = flat.metric_gram(horizontal)
     if linalg.det(gram) == 0:
         raise DegenerateAtPoint("metric degenerates on the horizontal space")
-    return _assemble(flat, horizontal)
+    return _assemble(flat, horizontal, gram)
 
 
-def _assemble(flat: FlatStructure, basis) -> InducedStructure:
-    gram = [[flat.metric(x, y) for y in basis] for x in basis]
+def _assemble(flat: FlatStructure, basis, gram) -> InducedStructure:
+    """The structure on `basis`, whose (symmetric, nondegenerate) metric Gram
+    matrix is `gram`.
+
+    omega(X, Y) = g(A X, Y) gives A^T = omega gram^{-1}, as in
+    `linalg.endomorphism_from_forms`; the Gram matrix is inverted once.
+    """
+    ginv = linalg.inverse(gram)
     omegas = {}
     endos = {}
     for name in ("I", "S", "T"):
-        om = [[flat.omega(name, x, y) for y in basis] for x in basis]
+        om = flat.omega_gram(name, basis)
         omegas[name] = om
-        endos[name] = linalg.endomorphism_from_forms(gram, om)
+        endos[name] = linalg.transpose(linalg.mat_mul(om, ginv))
     dim = len(basis)
     ident = linalg.identity(dim)
     neg_ident = [[-e for e in row] for row in ident]

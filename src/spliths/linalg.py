@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction.
 
 Matrices are lists of lists of Fractions, vectors are lists.  Sizes here are
 tiny (a few dozen rows at most), so plain Gauss-Jordan with exact pivots is
-the right tool.
+the right tool.  `mat_mul` skips the zero entries of each row of its left
+factor, so products with the sparse flat-structure matrices stay cheap.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    out = []
+    for row in a:
+        nz = [(k, x) for k, x in enumerate(row) if x]
+        if nz:
+            out.append([sum(x * col[k] for k, x in nz) for col in bt])
+        else:
+            out.append([Fraction(0)] * len(bt))
+    return out
 
 
 def mat_vec(a, v):
@@ -46,23 +54,6 @@ def mat_vec(a, v):
 
 def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    c = as_fraction(c)
-    return [c * x for x in v]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def rref(m):

@@ -138,7 +138,7 @@ def _pivot(tab, dens, basis, row, col):
 
 def _simplex(tab, dens, basis, cost, banned):
     """Minimize cost over the tableau; Bland's rule.  Returns status."""
-    ncols = len(tab[0]) - 1 if tab else 0
+    ncols = len(cost)
     # reduced-cost row r_j = c_j - c_B . column_j, maintained across pivots
     # (its last entry is minus the objective value and is never read)
     zden = lcm(*(c.denominator for c in cost))

@@ -288,23 +288,6 @@ class FiberOrbit:
                 w.append(ComplexRational(wr))
         return z, w
 
-    def float_representative(self):
-        """Numeric (z, w) for plotting and sanity checks."""
-        import math
-
-        z = []
-        w = []
-        for s in self.slots:
-            zr = math.sqrt(float(s.z_sq))
-            if zr > 0:
-                z.append(complex(zr, 0))
-                bk = complex(s.b)
-                w.append(complex(0, -1) * bk / zr)
-            else:
-                z.append(0j)
-                w.append(complex(math.sqrt(float(s.w_sq)), 0))
-        return z, w
-
 
 def fiber_enumerate(cfg: ToricConfig, a, b):
     """All 2^(d - |L|) torus orbits over (a, b) in K.

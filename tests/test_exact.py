@@ -77,6 +77,15 @@ def test_quadratic_value_discriminant_is_squarefree():
     assert QuadraticValue(0, 1, 2) != QuadraticValue(0, 1, 3)
 
 
+def test_complex_rational_real_hashes_like_fraction():
+    assert ComplexRational(3) == 3
+    assert hash(ComplexRational(3)) == hash(Fraction(3)) == hash(3)
+    half = ComplexRational(Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({ComplexRational(3, 1), ComplexRational(3)}) == 2
+
+
 def test_quadratic_value_rational_hashes_like_fraction():
     assert QuadraticValue(3) == Fraction(3) == 3
     assert hash(QuadraticValue(3)) == hash(Fraction(3)) == hash(3)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spliths import linalg as la
 from spliths.flat import coordinate_vector, flat_structure
@@ -134,3 +136,39 @@ def test_metric_values_on_vectors(rng):
     assert (wi, ws, wt) == (0, 0, 0)
     assert g == sum(s * e * e for s, e in
                     zip([1, 1, -1, -1] * 2, x))
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _vector_sets(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    vectors = draw(st.lists(st.lists(_ENTRIES, min_size=4 * n,
+                                     max_size=4 * n),
+                            min_size=1, max_size=4))
+    return n, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_sets())
+def test_sparse_grams_match_dense_evaluation(case):
+    n, vectors = case
+    fs = flat_structure(n)
+
+    def dense(m):
+        return [[la.vec_dot(x, la.mat_vec(m, y)) for y in vectors]
+                for x in vectors]
+
+    grams = [(fs.metric_gram(vectors), fs.G, fs.metric)]
+    for name in ("I", "S", "T"):
+        grams.append((fs.omega_gram(name, vectors), fs.form_matrix(name),
+                      lambda x, y, name=name: fs.omega(name, x, y)))
+    for gram, m, pair in grams:
+        assert gram == dense(m)
+        assert all(type(e) is Fraction for row in gram for e in row)
+        assert pair(vectors[0], vectors[-1]) == gram[0][-1]

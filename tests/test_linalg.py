@@ -96,3 +96,28 @@ def test_endomorphism_from_forms_roundtrip(rng):
         a = rand_matrix(rng, n, n, -3, 3)
         omega = la.mat_mul(la.transpose(a), gram)
         assert la.endomorphism_from_forms(gram, omega) == a
+
+
+def _dense_mat_mul(a, b):
+    bt = la.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def test_mat_mul_skips_zero_rows_and_keeps_fractions(rng):
+    for _ in range(40):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = rand_matrix(rng, n, k, -2, 2)
+        for row in a:
+            if rng.random() < 0.3:
+                row[:] = [Fraction(0)] * k
+        b = rand_matrix(rng, k, m, -2, 2)
+        got = la.mat_mul(a, b)
+        assert got == _dense_mat_mul(a, b)
+        # an n x 0 factor has no rows to carry m, so the product is n x 0
+        assert len(got) == n
+        assert all(len(row) == (m if k else 0) for row in got)
+        assert all(type(e) is Fraction for row in got for e in row)
+    assert la.mat_mul([], [[Fraction(1)]]) == []
+    assert la.mat_mul([[], []], []) == [[], []]
+    assert la.mat_mul([[Fraction(0), Fraction(0)]],
+                      [[Fraction(1)], [Fraction(2)]]) == [[Fraction(0)]]

@@ -58,6 +58,16 @@ def test_nonneg_variables():
     assert verify_farkas(2, cons, r.farkas, nonneg={0, 1})
 
 
+def test_empty_tableau_objective():
+    # no rows at all, or one all-zero row that phase 1 drops as redundant
+    for cons in ([], [([0], EQ, 0)]):
+        assert solve_lp(1, cons, objective=[1]).status == "unbounded"
+        r = solve_lp(1, cons, objective=[1], nonneg={0})
+        assert r.status == "optimal" and r.value == 0 and r.x == [0]
+        assert solve_lp(1, cons, objective=[1], maximize=True,
+                        nonneg={0}).status == "unbounded"
+
+
 def test_verify_farkas_rejects_bad_signs():
     cons = [([1], GE, 1), ([-1], GE, 0)]
     assert not verify_farkas(1, cons, [-1, -1])
@@ -133,7 +143,7 @@ def _dense_pivot(tab, rhs, basis, row, col):
 
 
 def _dense_simplex(tab, rhs, basis, cost, banned):
-    ncols = len(tab[0]) if tab else 0
+    ncols = len(cost)
     zrow = list(cost)
     for i, b in enumerate(basis):
         cb = cost[b]
