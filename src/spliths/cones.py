@@ -14,34 +14,63 @@ rational data.  Three mechanisms cooperate:
 Every FEASIBLE verdict carries a witness that has been checked against all
 constraints exactly; every INFEASIBLE verdict carries exact certificate
 data; anything else is UNKNOWN.
+
+Each affine form is also held as integers over one positive denominator,
+the row format of the LP tableau.  A point is scaled to integers over one
+denominator once, so each form's value is one integer sum, each sign is
+read from an integer numerator, and the tangent rows of the outer
+relaxation are built from integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .exact import as_fraction
+from .exact import as_fraction, integer_vector
 from .lp import EQ, GE, LE, lp_feasible, solve_lp
 
 FEASIBLE, INFEASIBLE, UNKNOWN = "feasible", "infeasible", "unknown"
 
 
 class Affine:
-    """coeffs . x + const"""
+    """coeffs . x + const
 
-    __slots__ = ("coeffs", "const")
+    `coeffs` and `const` are Fractions; the form is also kept as its nonzero
+    integer coefficients `terms` (j, c) and integer constant `num0` over the
+    positive denominator `den`.
+    """
+
+    __slots__ = ("coeffs", "const", "terms", "num0", "den")
 
     def __init__(self, coeffs, const=0):
         self.coeffs = tuple(as_fraction(c) for c in coeffs)
         self.const = as_fraction(const)
+        ints, self.den = integer_vector(self.coeffs + (self.const,))
+        self.num0 = ints.pop()
+        self.terms = tuple((j, c) for j, c in enumerate(ints) if c)
+
+    def _num(self, xs, xden):
+        """den * xden * self(x) for x == xs / xden, as an int."""
+        if len(xs) != len(self.coeffs):
+            raise ValueError("point of length %d for a form in %d variables"
+                             % (len(xs), len(self.coeffs)))
+        return sum(c * xs[j] for j, c in self.terms) + self.num0 * xden
+
+    def _row(self, den):
+        """Coefficients then constant, as ints over `den` (a multiple of
+        self.den)."""
+        f = den // self.den
+        row = [0] * (len(self.coeffs) + 1)
+        for j, c in self.terms:
+            row[j] = c * f
+        row[-1] = self.num0 * f
+        return row
 
     def __call__(self, x):
-        return sum(c * v for c, v in zip(self.coeffs, x)) + self.const
-
-    def scaled(self, f):
-        f = as_fraction(f)
-        return Affine([f * c for c in self.coeffs], f * self.const)
+        xs, xden = integer_vector(x)
+        return Fraction(self._num(xs, xden), self.den * xden)
 
     def __repr__(self):
         return "Affine(%r, %r)" % (list(self.coeffs), self.const)
@@ -53,15 +82,28 @@ class Cone:
     l1: Affine
     l2: Affine
 
+    def _parts(self, xs, xden):
+        """(w0, gap, den) at x == xs / xden: l0(x) == w0 / den and
+        gap_sq(x) == gap / den**2, with den > 0."""
+        l0, l1, l2 = self.l0, self.l1, self.l2
+        d = lcm(l0.den, l1.den, l2.den)
+        w0 = l0._num(xs, xden) * (d // l0.den)
+        w1 = l1._num(xs, xden) * (d // l1.den)
+        w2 = l2._num(xs, xden) * (d // l2.den)
+        return w0, w0 * w0 - w1 * w1 - w2 * w2, d * xden
+
     def gap_sq(self, x):
         """l0^2 - l1^2 - l2^2 at x (positive strictly inside)."""
-        return self.l0(x) ** 2 - self.l1(x) ** 2 - self.l2(x) ** 2
+        _, gap, den = self._parts(*integer_vector(x))
+        return Fraction(gap, den * den)
 
     def satisfied(self, x) -> bool:
-        return self.l0(x) >= 0 and self.gap_sq(x) >= 0
+        w0, gap, _ = self._parts(*integer_vector(x))
+        return w0 >= 0 and gap >= 0
 
     def on_wall(self, x) -> bool:
-        return self.l0(x) >= 0 and self.gap_sq(x) == 0
+        w0, gap, _ = self._parts(*integer_vector(x))
+        return w0 >= 0 and gap == 0
 
 
 @dataclass
@@ -85,9 +127,16 @@ class SOCSystem:
     def satisfied(self, x) -> bool:
         if len(x) != self.nvars:
             return False
-        return (all(e(x) == 0 for e in self.eqs)
-                and all(h(x) >= 0 for h in self.ineqs)
-                and all(c.satisfied(x) for c in self.cones))
+        xs, xden = integer_vector(x)
+        if any(e._num(xs, xden) for e in self.eqs):
+            return False
+        if any(h._num(xs, xden) < 0 for h in self.ineqs):
+            return False
+        for cone in self.cones:
+            w0, gap, _ = cone._parts(xs, xden)
+            if w0 < 0 or gap < 0:
+                return False
+        return True
 
 
 @dataclass
@@ -139,18 +188,28 @@ def _schedule(cap_steps):
 
 
 def _outer_constraints(sys: SOCSystem, steps: int):
+    """The equalities, the inequalities, then for each cone and each
+    direction (c, s) of circle_points(steps) the tangent row
+    l0 - c*l1 - s*l2 >= 0.
+
+    With the cone's forms as integer rows over one denominator d and
+    (c, s) = (cq, sq) / q, a tangent row is (q*l0 - cq*l1 - sq*l2) / (q*d).
+    """
     cons = []
     for e in sys.eqs:
         cons.append((list(e.coeffs), EQ, -e.const))
     for h in sys.ineqs:
         cons.append((list(h.coeffs), GE, -h.const))
-    dirs = circle_points(steps)
+    dirs = [integer_vector(p) for p in circle_points(steps)]
     for cone in sys.cones:
-        for c, s in dirs:
-            coeffs = [a - c * b - s * d for a, b, d in
-                      zip(cone.l0.coeffs, cone.l1.coeffs, cone.l2.coeffs)]
-            const = cone.l0.const - c * cone.l1.const - s * cone.l2.const
-            cons.append((coeffs, GE, -const))
+        d = lcm(cone.l0.den, cone.l1.den, cone.l2.den)
+        rows = list(zip(cone.l0._row(d), cone.l1._row(d), cone.l2._row(d)))
+        for (cq, sq), q in dirs:
+            den = q * d
+            row = [Fraction(q * a - cq * b - sq * e, den)
+                   for a, b, e in rows]
+            const = row.pop()
+            cons.append((row, GE, -const))
     return cons
 
 
@@ -310,7 +369,8 @@ class ExclusionCertificate:
     """Conic-combination proof that a wall misses the feasible set.
 
     With rho >= 0 over the other cones, nu >= 0 over the inequalities and
-    free multipliers over the equalities, the identities
+    free multipliers over the equalities (one list per identity, each as
+    long as the equality list), the identities
 
         l0_k = sum rho_j l0_j + sum nu_m h_m + (eq combo) + eps0
         l1_k = sum rho_j l1_j + (eq combo) + delta1
@@ -329,7 +389,13 @@ class ExclusionCertificate:
 
     def verify(self, sys: SOCSystem) -> bool:
         k = self.wall
+        if k not in range(len(sys.cones)):
+            return False
         others = [j for j in range(len(sys.cones)) if j != k]
+        if (len(self.rho) != len(others) or len(self.nu) != len(sys.ineqs)
+                or len(self.eq_mults) != 3 or len(self.delta) != 2
+                or any(len(part) != len(sys.eqs) for part in self.eq_mults)):
+            return False
         if any(r < 0 for r in self.rho) or any(v < 0 for v in self.nu):
             return False
         n = sys.nvars
@@ -483,22 +549,18 @@ def boundary_meet(sys: SOCSystem, k: int, sweep_resolution: int = 720,
 
 
 def _outer_margin_bound(sys: SOCSystem, steps: int):
-    """Exact upper bound for sup of min_k (l0_k - ||l_k||), or None if empty."""
-    nv = sys.nvars + 1
-    cons = []
-    for e in sys.eqs:
-        cons.append((list(e.coeffs) + [Fraction(0)], EQ, -e.const))
-    for h in sys.ineqs:
-        cons.append((list(h.coeffs) + [Fraction(0)], GE, -h.const))
-    for cone in sys.cones:
-        for c, s in circle_points(steps):
-            coeffs = [a - c * b - s * d for a, b, d in
-                      zip(cone.l0.coeffs, cone.l1.coeffs, cone.l2.coeffs)]
-            cons.append((coeffs + [Fraction(-1)], GE,
-                         -(cone.l0.const - c * cone.l1.const - s * cone.l2.const)))
+    """Exact upper bound for sup of min_k (l0_k - ||l_k||), or None if empty.
+
+    The outer relaxation with a margin column m: 0 on the equality and
+    inequality rows, -1 on the tangent rows (l0 - c*l1 - s*l2 - m >= 0).
+    """
+    nlin = len(sys.eqs) + len(sys.ineqs)
+    cons = _outer_constraints(sys, steps)
+    for i, (coeffs, _, _) in enumerate(cons):
+        coeffs.append(Fraction(0) if i < nlin else Fraction(-1))
     mrow = [Fraction(0)] * sys.nvars + [Fraction(1)]
     cons.append((mrow, LE, 1))
-    res = solve_lp(nv, cons, objective=mrow, maximize=True)
+    res = solve_lp(sys.nvars + 1, cons, objective=mrow, maximize=True)
     if res.status == "infeasible":
         return None
     assert res.status == "optimal"

@@ -20,6 +20,13 @@ def as_fraction(value) -> Fraction:
     raise TypeError("not an exact rational: %r" % (value,))
 
 
+def integer_vector(values):
+    """(ints, den) with values[i] == ints[i] / den, den > 0 the lcm of the
+    denominators: a rational vector as integers over one denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def sqrt_fraction(value):
     """Square root of a nonnegative rational if it is rational, else None."""
     value = as_fraction(value)

@@ -12,11 +12,11 @@ are scaled to integers over one denominator and each value is one integer sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
 from .algebra import BASIS, SplitQuaternion
+from .exact import integer_vector
 
 _SLOT_METRIC = (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1))
 
@@ -45,12 +45,6 @@ def _nonzeros(m):
     """The nonzero entries (i, j, c) of an integer matrix, c an int."""
     return [(i, j, int(e)) for i, row in enumerate(m)
             for j, e in enumerate(row) if e]
-
-
-def _integer_vector(v):
-    """(ints, den) with v[i] == ints[i] / den."""
-    den = lcm(*(e.denominator for e in v))
-    return [e.numerator * (den // e.denominator) for e in v], den
 
 
 def _apply(entries, ints):
@@ -89,9 +83,11 @@ class FlatStructure:
         self.S = right_mult_matrix(SplitQuaternion(0, 0, 1), n)
         self.T = right_mult_matrix(SplitQuaternion(0, 0, 0, 1), n)
         self.G = metric_matrix(n)
-        self.omega_I = linalg.mat_mul(linalg.transpose(self.I), self.G)
-        self.omega_S = linalg.mat_mul(linalg.transpose(self.S), self.G)
-        self.omega_T = linalg.mat_mul(linalg.transpose(self.T), self.G)
+        # omega_a = A^T G with G diagonal: entry (i, j) is A[j][i] * g_j
+        g = [self.G[j][j] for j in range(self.dim)]
+        self.omega_I, self.omega_S, self.omega_T = (
+            [[a[j][i] * g[j] for j in range(self.dim)] for i in range(self.dim)]
+            for a in (self.I, self.S, self.T))
         self._metric_entries = _nonzeros(self.G)
         self._form_entries = {name: _nonzeros(self.form_matrix(name))
                               for name in ("I", "S", "T")}
@@ -111,9 +107,9 @@ class FlatStructure:
     def _gram(self, entries, rows, cols):
         self._check_dim(*rows, *cols)
         images = [(_apply(entries, ints), den)
-                  for ints, den in map(_integer_vector, cols)]
+                  for ints, den in map(integer_vector, cols)]
         return [[Fraction(sum(map(mul, xs, my)), dx * dy) for my, dy in images]
-                for xs, dx in map(_integer_vector, rows)]
+                for xs, dx in map(integer_vector, rows)]
 
     def metric(self, x, y) -> Fraction:
         return self._gram(self._metric_entries, [x], [y])[0][0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import as_fraction
+from .exact import as_fraction, integer_vector
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -62,13 +62,16 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
     Requires mult_i >= 0 on ">=" rows, <= 0 on "<=" rows, free on "==".
     The combined functional must vanish on free variables (be <= 0 on
     variables declared nonnegative) while the combined rhs is positive.
+    The combination sum mult_i * row_i is accumulated in integers over one
+    running positive denominator, so every sign is read from an integer.
     """
     constraints = _norm_constraints(nvars, constraints)
     nonneg = set(nonneg)
     if len(mult) != len(constraints):
         return False
-    combo = [Fraction(0)] * nvars
-    total = Fraction(0)
+    combo = [0] * nvars  # combo[j] / den, total / den
+    total = 0
+    den = 1
     for m, (coeffs, rel, rhs) in zip(mult, constraints):
         m = as_fraction(m)
         if rel == GE and m < 0:
@@ -77,10 +80,20 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
             return False
         if m == 0:
             continue
-        for j, c in enumerate(coeffs):
+        # m * row == (m.numerator / step) * (integer row over rden)
+        row, rden = integer_vector(coeffs + [rhs])
+        step = m.denominator * rden
+        new_den = lcm(den, step)
+        if new_den != den:
+            up = new_den // den
+            combo = [v * up for v in combo]
+            total *= up
+            den = new_den
+        f = m.numerator * (den // step)
+        for j, c in enumerate(row[:-1]):
             if c:
-                combo[j] += m * c
-        total += m * rhs
+                combo[j] += f * c
+        total += f * row[-1]
     for j, c in enumerate(combo):
         if j in nonneg:
             if c > 0:

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spliths.cones import (FEASIBLE, INFEASIBLE, UNKNOWN, Affine, SOCSystem,
-                           boundary_meet, circle_points, positively_spanning,
-                           soc_feasible, strict_interior_point,
-                           wall_exclusion_certificate)
+from spliths import cones
+from spliths.cones import (FEASIBLE, INFEASIBLE, UNKNOWN, Affine,
+                           ExclusionCertificate, SOCSystem, boundary_meet,
+                           circle_points, positively_spanning, soc_feasible,
+                           strict_interior_point, wall_exclusion_certificate)
+from spliths.lp import EQ, GE, LE, LPResult
 
 
 def single_cone():
@@ -72,10 +77,15 @@ def test_wall_point_found_by_sweep_at_axis_direction():
     assert a == 1 and b1 * b1 + b2 * b2 == 1
 
 
-def test_exclusion_certificate_for_strictly_nested_cone():
+def _nested_cones():
     s = SOCSystem(3)
     s.add_cone(Affine([1, 0, 0]), Affine([0, 1, 0]), Affine([0, 0, 1]))
     s.add_cone(Affine([1, 0, 0], -1), Affine([0, 1, 0]), Affine([0, 0, 1]))
+    return s
+
+
+def test_exclusion_certificate_for_strictly_nested_cone():
+    s = _nested_cones()
     cert = wall_exclusion_certificate(s, 0)
     assert cert is not None and cert.verify(s)
     v = boundary_meet(s, 0)
@@ -174,3 +184,207 @@ def test_every_feasible_witness_reverifies():
         v = soc_feasible(s, resolution=48)
         if v.status == FEASIBLE:
             assert s.satisfied(v.witness)
+
+
+def test_wrong_length_point_raises():
+    cone = single_cone().cones[0]
+    for method in (cone.satisfied, cone.on_wall, cone.gap_sq):
+        with pytest.raises(ValueError):
+            method([Fraction(1)])
+    with pytest.raises(ValueError):
+        Affine([1])([2, 3])
+    with pytest.raises(ValueError):
+        Affine([1, 2])([2])
+    assert not single_cone().satisfied([Fraction(1)])
+    assert not single_cone().satisfied([Fraction(0)] * 4)
+
+
+def test_exclusion_certificate_rejects_malformed():
+    s = _nested_cones()
+    cert = wall_exclusion_certificate(s, 0)
+    assert cert.verify(s)
+
+    def variant(**changes):
+        fields = dict(wall=cert.wall, rho=list(cert.rho), nu=list(cert.nu),
+                      eq_mults=[list(p) for p in cert.eq_mults],
+                      eps0=cert.eps0, delta=cert.delta)
+        fields.update(changes)
+        return ExclusionCertificate(**fields)
+
+    assert variant().verify(s)
+    assert not variant(rho=list(cert.rho) + [Fraction(1)]).verify(s)
+    assert not variant(rho=[]).verify(s)
+    assert not variant(nu=[Fraction(0)]).verify(s)
+    assert not variant(eq_mults=[[1], [2], [3]]).verify(s)
+    assert not variant(eq_mults=[[], []]).verify(s)
+    assert not variant(wall=-1).verify(s)
+    assert not variant(wall=2).verify(s)
+    assert not variant(delta=tuple(cert.delta) + (Fraction(5),)).verify(s)
+    # with equalities and inequalities the exact lengths still verify
+    s.add_eq([0, 0, 1])
+    s.add_ineq([1, 0, 0], 1)
+    cert = wall_exclusion_certificate(s, 0)
+    assert cert is not None and cert.verify(s)
+    assert len(cert.nu) == 1 and all(len(p) == 1 for p in cert.eq_mults)
+    assert not variant(nu=[]).verify(s)
+    assert not variant(eq_mults=[list(p) + [0] for p in cert.eq_mults]).verify(s)
+
+
+# -- differential checks against Fraction evaluation -------------------------
+#
+# The references below evaluate forms and build relaxation rows with one
+# Fraction multiply and add per entry, as this module did before it kept
+# each form as integers over one denominator.
+
+
+def _ref_value(aff, x):
+    return sum(c * v for c, v in zip(aff.coeffs, x)) + aff.const
+
+
+def _ref_gap_sq(cone, x):
+    return (_ref_value(cone.l0, x) ** 2 - _ref_value(cone.l1, x) ** 2
+            - _ref_value(cone.l2, x) ** 2)
+
+
+def _ref_tangent_rows(sys, steps, margin):
+    rows = []
+    for cone in sys.cones:
+        for c, s in circle_points(steps):
+            coeffs = [a - c * b - s * d for a, b, d in
+                      zip(cone.l0.coeffs, cone.l1.coeffs, cone.l2.coeffs)]
+            coeffs += [Fraction(-1)] * margin
+            rows.append((coeffs, GE, -(cone.l0.const - c * cone.l1.const
+                                       - s * cone.l2.const)))
+    return rows
+
+
+def _ref_outer_constraints(sys, steps, margin=0):
+    pad = [Fraction(0)] * margin
+    cons = [(list(e.coeffs) + pad, EQ, -e.const) for e in sys.eqs]
+    cons += [(list(h.coeffs) + pad, GE, -h.const) for h in sys.ineqs]
+    return cons + _ref_tangent_rows(sys, steps, margin)
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _forms(draw, nvars):
+    return (draw(st.lists(_ENTRIES, min_size=nvars, max_size=nvars)),
+            draw(_ENTRIES))
+
+
+@st.composite
+def _points_and_cones(draw):
+    """A point x, and cones with prescribed values of l0, l1, l2 at x.
+
+    The value of l1, l2 is r*(c, s) for a rational circle point (c, s); l0
+    is +-|r| (exactly on the wall or its negative nappe) or any value."""
+    nvars = 3 * draw(st.integers(1, 3))
+    x = draw(st.lists(_ENTRIES, min_size=nvars, max_size=nvars))
+    sys = SOCSystem(nvars)
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(_ENTRIES)
+        c, s = draw(st.sampled_from(circle_points(12)))
+        v0 = draw(st.sampled_from([abs(r), -abs(r), r + 1, r - Fraction(1, 7)])
+                  | _ENTRIES)
+        parts = []
+        for want in (v0, r * c, r * s):
+            coeffs, const = draw(_forms(nvars))
+            if draw(st.booleans()):  # shift the constant onto the target
+                const = want - sum(a * b for a, b in zip(coeffs, x))
+            parts.append(Affine(coeffs, const))
+        sys.add_cone(*parts)
+    for _ in range(draw(st.integers(0, 2))):
+        sys.add_eq(*draw(_forms(nvars)))
+    for _ in range(draw(st.integers(0, 2))):
+        sys.add_ineq(*draw(_forms(nvars)))
+    return sys, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_points_and_cones())
+def test_evaluation_matches_fractions(case):
+    sys, x = case
+    for aff in sys.eqs + sys.ineqs + [f for c in sys.cones
+                                      for f in (c.l0, c.l1, c.l2)]:
+        got = aff(x)
+        assert type(got) is Fraction and got == _ref_value(aff, x)
+        assert aff(x) == aff([int(v) if v.denominator == 1 else v for v in x])
+    ok = True
+    for cone in sys.cones:
+        gap = cone.gap_sq(x)
+        assert type(gap) is Fraction and gap == _ref_gap_sq(cone, x)
+        l0 = _ref_value(cone.l0, x)
+        assert cone.satisfied(x) == (l0 >= 0 and gap >= 0)
+        assert cone.on_wall(x) == (l0 >= 0 and gap == 0)
+        ok = ok and cone.satisfied(x)
+    for e in sys.eqs:
+        assert SOCSystem(sys.nvars, eqs=[e]).satisfied(x) == (
+            _ref_value(e, x) == 0)
+    for h in sys.ineqs:
+        assert SOCSystem(sys.nvars, ineqs=[h]).satisfied(x) == (
+            _ref_value(h, x) >= 0)
+    ok = (ok and all(_ref_value(e, x) == 0 for e in sys.eqs)
+          and all(_ref_value(h, x) >= 0 for h in sys.ineqs))
+    assert sys.satisfied(x) == ok
+
+
+def test_signs_next_to_zero():
+    # values -1/(den * xden) and +1/(den * xden): integer numerators -1, 1
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    for sign in (-1, 1):
+        x = [sign * third]
+        assert SOCSystem(1, ineqs=[Affine([1])]).satisfied(x) == (sign > 0)
+        assert not SOCSystem(1, eqs=[Affine([1])]).satisfied(x)
+        cone = Affine([Fraction(1, 2)]), Affine([0]), Affine([0])
+        s = SOCSystem(1)
+        s.add_cone(*cone)
+        assert s.satisfied(x) == s.cones[0].satisfied(x) == (sign > 0)
+        assert s.cones[0].gap_sq(x) == sixth * sixth
+    assert SOCSystem(1, eqs=[Affine([1], -third)]).satisfied([third])
+
+
+def test_evaluation_on_exact_wall_points():
+    s = single_cone()
+    for c, t in circle_points(12):
+        for r in (Fraction(3, 7), Fraction(5), Fraction(0)):
+            x = [r, r * c, r * t]
+            cone = s.cones[0]
+            assert cone.on_wall(x) and cone.satisfied(x) and s.satisfied(x)
+            assert cone.gap_sq(x) == 0 and type(cone.gap_sq(x)) is Fraction
+            if r:
+                x = [-r, r * c, r * t]
+                assert not cone.on_wall(x) and not cone.satisfied(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points_and_cones(), st.sampled_from([2, 12]))
+def test_outer_rows_match_fraction_rows(case, steps):
+    sys, _ = case
+    got = cones._outer_constraints(sys, steps)
+    assert got == _ref_outer_constraints(sys, steps)
+    assert all(type(v) is Fraction for row, _, rhs in got for v in row + [rhs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points_and_cones(), st.sampled_from([2, 12]))
+def test_margin_bound_rows_match_fraction_rows(case, steps):
+    sys, _ = case
+    seen = []
+
+    def capture(nvars, cons, **kwargs):
+        seen.append((nvars, cons))
+        return LPResult("infeasible")
+
+    with mock.patch.object(cones, "solve_lp", capture):
+        cones._outer_margin_bound(sys, steps)
+    (nvars, cons), = seen
+    mrow = [Fraction(0)] * sys.nvars + [Fraction(1)]
+    assert nvars == sys.nvars + 1
+    assert cons == _ref_outer_constraints(sys, steps, margin=1) + [
+        (mrow, LE, 1)]

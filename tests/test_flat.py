@@ -19,6 +19,9 @@ def test_forms_match_metric_contraction(n):
     dim = fs.dim
     for name in ("I", "S", "T"):
         a = fs.endomorphism(name)
+        form = fs.form_matrix(name)
+        assert form == la.mat_mul(la.transpose(a), fs.G)
+        assert all(type(e) is Fraction for row in form for e in row)
         for i in range(dim):
             ei = coordinate_vector(dim, i)
             aei = la.mat_vec(a, ei)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,3 +324,73 @@ def test_matches_dense_fraction_tableau(lp):
         assert verify_farkas(n, cons, res.farkas, nonneg)
     elif res.status == "optimal":
         _check_witness(n, cons, res.x)
+
+
+# -- verify_farkas against Fraction accumulation ------------------------------
+
+
+def _ref_verify_farkas(nvars, constraints, mult, nonneg=()):
+    """verify_farkas with one Fraction multiply and add per entry."""
+    nonneg = set(nonneg)
+    if len(mult) != len(constraints):
+        return False
+    combo = [Fraction(0)] * nvars
+    total = Fraction(0)
+    for m, (coeffs, rel, rhs) in zip(mult, constraints):
+        m = Fraction(m)
+        if (rel == GE and m < 0) or (rel == LE and m > 0):
+            return False
+        for j, c in enumerate(coeffs):
+            combo[j] += m * c
+        total += m * rhs
+    for j, c in enumerate(combo):
+        if (c > 0) if j in nonneg else (c != 0):
+            return False
+    return total > 0
+
+
+@st.composite
+def _certificates(draw):
+    """An LP, and its Farkas vector if infeasible (else random multipliers),
+    possibly perturbed."""
+    n, cons, nonneg, _, _ = draw(_lps())
+    res = solve_lp(n, cons, nonneg=nonneg)
+    mult = list(res.farkas) if res.status == "infeasible" else draw(
+        st.lists(_VALUES, min_size=len(cons), max_size=len(cons)))
+    i = draw(st.integers(0, len(mult) - 1))
+    kind = draw(st.sampled_from(["none", "none", "flip", "zero", "scale",
+                                 "short", "long"]))
+    if kind == "flip":
+        mult[i] = -mult[i]
+    elif kind == "zero":
+        mult[i] = Fraction(0)
+    elif kind == "scale":
+        mult[i] *= draw(st.sampled_from([Fraction(2), Fraction(1, 3),
+                                         Fraction(-5, 7)]))
+    elif kind == "short":
+        mult.pop()
+    elif kind == "long":
+        mult.append(Fraction(1))
+    return n, cons, nonneg, mult, res.status == "infeasible" and kind == "none"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificates())
+def test_verify_farkas_matches_fraction_reference(case):
+    n, cons, nonneg, mult, produced = case
+    got = verify_farkas(n, cons, mult, nonneg)
+    assert got == _ref_verify_farkas(n, cons, mult, nonneg)
+    if produced:
+        assert got
+
+
+def test_verify_farkas_errors_and_mixed_denominators():
+    cons = [([Fraction(1, 6), Fraction(0)], GE, Fraction(1, 4)),
+            ([Fraction(-1, 10), Fraction(0)], GE, Fraction(1, 15))]
+    assert verify_farkas(2, cons, [Fraction(3, 5), 1])
+    assert not verify_farkas(2, cons, [Fraction(3, 5), Fraction(99, 100)])
+    with pytest.raises(ValueError):
+        verify_farkas(2, [([1], GE, 0)], [1])
+    with pytest.raises(ValueError):
+        verify_farkas(1, [([1], "<", 0)], [1])
+    assert not verify_farkas(1, [([1], GE, 1)], [1, 1])
