@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cones import (FEASIBLE, INFEASIBLE, UNKNOWN, Affine, boundary_meet,
-                    positively_spanning, soc_feasible, strict_interior_point)
+from .cones import (FEASIBLE, INFEASIBLE, UNKNOWN, _wall_probe_system,
+                    boundary_meet, circle_points, positively_spanning,
+                    soc_feasible, strict_interior_point)
 from .exact import ComplexRational, as_fraction
 from .lattice import extends_to_lattice_basis
 from .toric import (ToricConfig, build_torus_data, cone_system, coords_to_point,
@@ -29,14 +30,6 @@ class Options:
     soc_resolution: int = 240
     samples: int = 12
     stratum_cap: int = 12
-
-    @classmethod
-    def coerce(cls, value) -> "Options":
-        if value is None:
-            return cls()
-        if isinstance(value, Options):
-            return value
-        return cls(**value)
 
 
 @dataclass
@@ -59,7 +52,7 @@ def _stratum_system(cfg, vertex_indices=()):
 
 def k_is_empty(cfg: ToricConfig, options=None):
     """(verdict for K = empty?, witness point if nonempty)."""
-    options = Options.coerce(options)
+    options = options or Options()
     v = soc_feasible(cone_system(cfg), resolution=options.soc_resolution)
     if v.status == FEASIBLE:
         return False, v.witness
@@ -70,7 +63,7 @@ def k_is_empty(cfg: ToricConfig, options=None):
 
 def connectedness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
     """Connected iff every wall W_k meets K; exact misses via certificates."""
-    options = Options.coerce(options)
+    options = options or Options()
     empty, _ = k_is_empty(cfg, options)
     if empty:
         # vacuous wall criterion: the image (and the quotient) is empty
@@ -134,7 +127,7 @@ def freeness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
     stratum_cap or the subset limit cut the enumeration short, a pass is
     not established and the verdict is unknown.
     """
-    options = Options.coerce(options)
+    options = options or Options()
     max_size = min(cfg.d, cfg.n + 1, options.stratum_cap)
     subsets, complete = _vertex_subsets(cfg.d, max_size)
     complete = complete and max_size == min(cfg.d, cfg.n + 1)
@@ -228,21 +221,16 @@ def _two_wall_points(cfg: ToricConfig, j: int, k: int, steps: int = 12):
     Pin wall j to a rational direction, parameterize the resulting line and
     solve the wall-k quadratic exactly; only rational roots are kept.
     """
-    from .cones import circle_points
-
     if cfg.n != 1:
         return []
     sys = cone_system(cfg)
-    cone_j, cone_k = sys.cones[j], sys.cones[k]
+    cone_k = sys.cones[k]
     out = []
     for c, s in circle_points(steps):
         # wall j along (c, s): l1_j = c l0_j, l2_j = s l0_j
-        rows = []
-        rhs = []
-        for lpart, f in ((cone_j.l1, c), (cone_j.l2, s)):
-            rows.append([p - f * q for p, q in
-                         zip(lpart.coeffs, cone_j.l0.coeffs)])
-            rhs.append(-(lpart.const - f * cone_j.l0.const))
+        pinned = _wall_probe_system(sys, j, c, s).eqs[-2:]
+        rows = [list(e.coeffs) for e in pinned]
+        rhs = [-e.const for e in pinned]
         base = linalg.solve(rows, rhs)
         if base is None:
             continue
@@ -285,7 +273,7 @@ def _two_wall_points(cfg: ToricConfig, j: int, k: int, steps: int = 12):
 
 def sample_points(cfg: ToricConfig, options=None, base=None):
     """Rational points of K: a feasible base plus random ray probes."""
-    options = Options.coerce(options)
+    options = options or Options()
     rng = random.Random(options.seed)
     if base is None:
         empty, base = k_is_empty(cfg, options)
@@ -326,7 +314,7 @@ def degeneracy_test(cfg: ToricConfig, options=None,
     A passing verdict is explicitly "at sampled points" unless ker(beta)
     is trivial, in which case no nonzero zeta exists at all.
     """
-    options = Options.coerce(options)
+    options = options or Options()
     torus = build_torus_data(cfg)
     if torus.dim == 0:
         return VerdictEntry("nondegenerate", method="trivial-kernel")
@@ -462,7 +450,7 @@ def smoothness_test(cfg: ToricConfig, a, b) -> SmoothnessReport:
 
 def cint_probe(cfg: ToricConfig, options=None) -> VerdictEntry:
     """A rational point strictly inside every cone, when one can be found."""
-    options = Options.coerce(options)
+    options = options or Options()
     pt, v = strict_interior_point(cone_system(cfg),
                                   resolution=options.soc_resolution)
     if pt is not None:
@@ -494,7 +482,7 @@ class AnalysisReport:
 
 def analyze(cfg: ToricConfig, options=None) -> AnalysisReport:
     """Run every decision procedure and assemble the stratum table."""
-    options = Options.coerce(options)
+    options = options or Options()
     empty, base = k_is_empty(cfg, options)
     connected = connectedness_test(cfg, options)
     compact = compactness_test(cfg)

@@ -40,18 +40,20 @@ def _parse_rational(value, where):
 
 def config_from_dict(doc) -> tuple:
     """(ToricConfig, Options) from a parsed JSON document."""
+    if not isinstance(doc, dict):
+        raise ConfigError("the configuration must be a JSON object")
     for key in ("d", "n", "u"):
         if key not in doc:
             raise ConfigError("missing field %r" % key)
     d, n = doc["d"], doc["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 1 and n >= 1):
+    if not (type(d) is int and type(n) is int and d >= 1 and n >= 1):
         raise ConfigError("d and n must be positive integers")
     u = doc["u"]
     if not isinstance(u, list) or len(u) != d:
         raise ConfigError("u must be a list of d integer vectors")
     for k, row in enumerate(u):
         if (not isinstance(row, list) or len(row) != n
-                or not all(isinstance(e, int) for e in row)):
+                or not all(type(e) is int for e in row)):
             raise ConfigError("u[%d] must be a list of %d integers" % (k, n))
     shifts = {}
     for name in ("lambda1", "lambda2", "lambda3"):
@@ -81,7 +83,7 @@ def _options(values) -> Options:
     if bad:
         raise ConfigError("unknown options: %s" % ", ".join(sorted(bad)))
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise ConfigError("option %s must be an integer, not %r"
                               % (name, value))
         if name != "seed" and value < 0:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .exact import as_fraction, integer_vector
 from .lp import EQ, GE, LE, lp_feasible, solve_lp
 
@@ -220,7 +221,7 @@ def _outer_infeasible(sys: SOCSystem, steps: int):
     return None
 
 
-def _inner_lp(sys: SOCSystem, steps: int, margin=None, maximize_margin=False):
+def _inner_lp(sys: SOCSystem, steps: int, maximize_margin=False):
     """LP on the inscribed-polygon tightening of every cone.
 
     Feasible points of the LP are exactly feasible for the SOC system.  With
@@ -271,55 +272,61 @@ def _inner_lp(sys: SOCSystem, steps: int, margin=None, maximize_margin=False):
     return None, None
 
 
-def _numeric_candidate(sys: SOCSystem, tol=1e-9, iters=20000):
-    import numpy as np
+def _numeric_candidate(sys: SOCSystem):
+    """Floats within 1e-9 of feasible after at most 20000 rounds of cyclic
+    projection, or None.  A round maps x to x - P(x - x0), with x0 an exact
+    solution of the equalities and P the exact projector onto their row
+    space (both rounded once), then steps along the gradient of each
+    violated inequality and cone."""
+    tol = 1e-9
+    rows = [list(e.coeffs) for e in sys.eqs]
+    x0 = linalg.solve(rows, [-e.const for e in sys.eqs])
+    if x0 is None:
+        return None
+    red, pivots = linalg.rref(rows)
+    proj = pivots and [[float(v) for v in row] for row in
+                       linalg.column_span_projector(red[:len(pivots)])]
+    shift = [float(v) for v in x0]
 
-    n = sys.nvars
-    x = np.zeros(n)
-    a_eq = np.array([[float(c) for c in e.coeffs] for e in sys.eqs]) \
-        if sys.eqs else None
-    b_eq = np.array([-float(e.const) for e in sys.eqs]) if sys.eqs else None
-    pinv = np.linalg.pinv(a_eq) if sys.eqs else None
+    def floats(aff):
+        return [float(c) for c in aff.coeffs], float(aff.const)
+
+    def value(form, x):
+        return sum(a * b for a, b in zip(form[0], x)) + form[1]
+
+    eqs = [floats(e) for e in sys.eqs]
+    ineqs = [floats(h) for h in sys.ineqs]
+    cones = [(floats(c.l0), floats(c.l1), floats(c.l2)) for c in sys.cones]
 
     def violation(x):
-        worst = 0.0
-        if sys.eqs:
-            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
-        for h in sys.ineqs:
-            worst = max(worst, -min(0.0, _feval(h, x)))
-        for cone in sys.cones:
-            v0, v1, v2 = _feval(cone.l0, x), _feval(cone.l1, x), _feval(cone.l2, x)
-            worst = max(worst, (v1 * v1 + v2 * v2) ** 0.5 - v0)
-        return worst
+        return max([0.0] + [abs(value(e, x)) for e in eqs]
+                   + [-value(h, x) for h in ineqs]
+                   + [(value(f1, x) ** 2 + value(f2, x) ** 2) ** 0.5
+                      - value(f0, x) for f0, f1, f2 in cones])
 
-    def _feval(aff, x):
-        return float(sum(float(c) * xi for c, xi in zip(aff.coeffs, x))
-                     + float(aff.const))
-
-    for _ in range(iters):
-        if sys.eqs:
-            x = x - pinv @ (a_eq @ x - b_eq)
+    x = [0.0] * sys.nvars
+    for _ in range(20000):
+        if proj:
+            d = [a - b for a, b in zip(x, shift)]
+            x = [a - sum(p * b for p, b in zip(row, d))
+                 for a, row in zip(x, proj)]
         moved = False
-        for h in sys.ineqs:
-            val = _feval(h, x)
-            if val < -tol * 0.01:
-                g = np.array([float(c) for c in h.coeffs])
-                nrm = float(g @ g)
-                if nrm > 0:
-                    x = x - (val / nrm) * g
-                    moved = True
-        for cone in sys.cones:
-            v0, v1, v2 = _feval(cone.l0, x), _feval(cone.l1, x), _feval(cone.l2, x)
+        for h in ineqs:
+            val = value(h, x)
+            nrm = sum(a * a for a in h[0])
+            if val < -tol * 0.01 and nrm > 0:
+                x = [a - (val / nrm) * b for a, b in zip(x, h[0])]
+                moved = True
+        for f0, f1, f2 in cones:
+            v0, v1, v2 = value(f0, x), value(f1, x), value(f2, x)
             r = (v1 * v1 + v2 * v2) ** 0.5
-            gval = r - v0
-            if gval > tol * 0.01:
-                g0 = np.array([float(c) for c in cone.l0.coeffs])
-                g1 = np.array([float(c) for c in cone.l1.coeffs])
-                g2 = np.array([float(c) for c in cone.l2.coeffs])
-                grad = -g0 if r == 0 else (v1 * g1 + v2 * g2) / r - g0
-                nrm = float(grad @ grad)
+            if r - v0 > tol * 0.01:
+                # the gradient of r - l0; at r == 0 (v1 == v2 == 0) it is -l0
+                grad = [(v1 * a + v2 * b) / (r or 1.0) - c
+                        for a, b, c in zip(f1[0], f2[0], f0[0])]
+                nrm = sum(a * a for a in grad)
                 if nrm > 0:
-                    x = x - (gval / nrm) * grad
+                    x = [a - ((r - v0) / nrm) * b for a, b in zip(x, grad)]
                     moved = True
         if not moved and violation(x) < tol:
             break
@@ -512,8 +519,8 @@ def _wall_probe_system(sys: SOCSystem, k: int, c, s) -> SOCSystem:
     return probe
 
 
-def boundary_meet(sys: SOCSystem, k: int, sweep_resolution: int = 720,
-                  quick_resolution: int = 48) -> Verdict:
+def boundary_meet(sys: SOCSystem, k: int,
+                  sweep_resolution: int = 720) -> Verdict:
     """Does the feasible set touch the wall l0 = ||(l1, l2)|| of cone k?
 
     Tries the exact exclusion certificate first, then sweeps rational unit
@@ -538,7 +545,7 @@ def boundary_meet(sys: SOCSystem, k: int, sweep_resolution: int = 720,
             probe = _wall_probe_system(sys, k, c, s)
             if _outer_infeasible(probe, 2) is not None:
                 continue
-            for inner_steps in _schedule(max(2, quick_resolution // 4)):
+            for inner_steps in _schedule(12):
                 witness, _ = _inner_lp(probe, inner_steps)
                 if witness is not None:
                     if not (sys.satisfied(witness) and cone.on_wall(witness)):

@@ -36,6 +36,24 @@ def test_config_validation_errors():
         config_from_dict(dict(MODEL_DOC, options={"resolution": 3}))
 
 
+@pytest.mark.parametrize("doc", [5, None, "dnu", [MODEL_DOC]])
+def test_config_must_be_an_object(doc):
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"d": True, "n": True, "u": [[True]]}, "d and n"),
+    (dict(MODEL_DOC, d=True), "d and n"),
+    (dict(MODEL_DOC, n=True), "d and n"),
+    (dict(MODEL_DOC, u=[[True]]), "u\\[0\\]"),
+    ({"d": 2, "n": 1, "u": [[1], [False]]}, "u\\[1\\]"),
+])
+def test_config_rejects_booleans(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
 @pytest.mark.parametrize("options, message", [
     ({"sweep_resolution": "abc"}, "sweep_resolution must be an integer"),
     ({"samples": True}, "samples must be an integer"),
@@ -160,6 +178,15 @@ def test_cli_input_errors(tmp_path):
     res = run_cli(["analyze", str(good), "--samples=-2"])
     assert res.returncode == 1
     assert res.stderr == "error: option samples must be >= 0, not -2\n"
+
+
+def test_cli_non_object_config(tmp_path):
+    bad = tmp_path / "bad.json"
+    for text in ("5", "null", '"dnu"'):
+        bad.write_text(text)
+        res = run_cli(["analyze", str(bad)])
+        assert res.returncode == 1
+        assert res.stderr == "error: the configuration must be a JSON object\n"
 
 
 def test_cli_verify_subcommands():

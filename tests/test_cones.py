@@ -167,6 +167,55 @@ def test_honest_unknown_for_irrational_only_point():
     assert v.status == UNKNOWN
 
 
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fractions import Fraction
+from spliths.cones import Affine, SOCSystem, soc_feasible
+from spliths.toric import ToricConfig, cone_system
+
+s = SOCSystem(3)
+s.add_cone(Affine([1, 0, 0]), Affine([0, 1, 0]), Affine([0, 0, 1]))
+s.add_eq([0, 1, 0], -7)
+s.add_eq([0, 0, 1], -24)
+s.add_ineq([-1, 0, 0], 25)
+v = soc_feasible(s, resolution=8)
+print(v.status, v.method, [str(e) for e in v.witness])
+# the thin lens at lambda_c = 1 + i/7, delta = 1.0102: K is decided only by
+# the numeric fallback
+lens = ToricConfig([[1], [-1]], [0, Fraction("-1.0102")], [0, 1],
+                   [0, Fraction(1, 7)])
+k = cone_system(lens)
+v = soc_feasible(k)
+print(v.status, v.method, k.satisfied(v.witness))
+"""
+
+
+def test_numeric_fallback_runs_without_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import spliths
+
+    src = os.path.dirname(os.path.dirname(spliths.__file__))
+    res = subprocess.run([sys.executable, "-c", _NO_NUMPY],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "feasible numeric-polish ['25', '7', '24']",
+        "feasible numeric-polish True"]
+
+
+def test_numeric_candidate_inconsistent_equalities():
+    s = single_cone()
+    s.add_eq([0, 1, 0], -1)
+    s.add_eq([0, 2, 0], -3)
+    assert cones._numeric_candidate(s) is None
+    assert soc_feasible(s, resolution=8).status == INFEASIBLE
+
+
 def test_every_feasible_witness_reverifies():
     # randomized mix of cones and half-spaces; any FEASIBLE must satisfy
     import random
@@ -388,3 +437,114 @@ def test_margin_bound_rows_match_fraction_rows(case, steps):
     assert nvars == sys.nvars + 1
     assert cons == _ref_outer_constraints(sys, steps, margin=1) + [
         (mrow, LE, 1)]
+
+
+# -- the numeric fallback against its numpy reference ------------------------
+#
+# The reference is the cyclic projection as this module ran it with numpy:
+# the equality step through the pseudo-inverse, float(c) per coefficient
+# per round.  numpy is a test dependency only.
+
+def _ref_numeric_candidate(sys, tol=1e-9, iters=20000):
+    import numpy as np
+
+    x = np.zeros(sys.nvars)
+    a_eq = np.array([[float(c) for c in e.coeffs] for e in sys.eqs]) \
+        if sys.eqs else None
+    b_eq = np.array([-float(e.const) for e in sys.eqs]) if sys.eqs else None
+    pinv = np.linalg.pinv(a_eq) if sys.eqs else None
+
+    def feval(aff, x):
+        return float(sum(float(c) * xi for c, xi in zip(aff.coeffs, x))
+                     + float(aff.const))
+
+    def violation(x):
+        worst = 0.0
+        if sys.eqs:
+            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+        for h in sys.ineqs:
+            worst = max(worst, -min(0.0, feval(h, x)))
+        for cone in sys.cones:
+            v0, v1, v2 = feval(cone.l0, x), feval(cone.l1, x), feval(cone.l2, x)
+            worst = max(worst, (v1 * v1 + v2 * v2) ** 0.5 - v0)
+        return worst
+
+    for _ in range(iters):
+        if sys.eqs:
+            x = x - pinv @ (a_eq @ x - b_eq)
+        moved = False
+        for h in sys.ineqs:
+            val = feval(h, x)
+            if val < -tol * 0.01:
+                g = np.array([float(c) for c in h.coeffs])
+                nrm = float(g @ g)
+                if nrm > 0:
+                    x = x - (val / nrm) * g
+                    moved = True
+        for cone in sys.cones:
+            v0, v1, v2 = feval(cone.l0, x), feval(cone.l1, x), feval(cone.l2, x)
+            r = (v1 * v1 + v2 * v2) ** 0.5
+            gval = r - v0
+            if gval > tol * 0.01:
+                g0 = np.array([float(c) for c in cone.l0.coeffs])
+                g1 = np.array([float(c) for c in cone.l1.coeffs])
+                g2 = np.array([float(c) for c in cone.l2.coeffs])
+                grad = -g0 if r == 0 else (v1 * g1 + v2 * g2) / r - g0
+                nrm = float(grad @ grad)
+                if nrm > 0:
+                    x = x - (gval / nrm) * grad
+                    moved = True
+        if not moved and violation(x) < tol:
+            break
+    return x if violation(x) < tol else None
+
+
+def _system_through(rng, nvars):
+    """Cones, equalities and inequalities that all hold at a random rational
+    point p (cones with slack 0 or 1/2 above a rational bound on the norm),
+    while the origin, where the projections start, is seldom feasible."""
+    import math
+
+    p = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(nvars)]
+
+    def form():
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                  for _ in range(nvars)]
+        return coeffs, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def at_p(coeffs, const):
+        return sum(c * v for c, v in zip(coeffs, p)) + const
+
+    s = SOCSystem(nvars)
+    for _ in range(rng.randint(1, 3)):
+        l1, l2 = Affine(*form()), Affine(*form())
+        norm = math.sqrt(float(l1(p) ** 2 + l2(p) ** 2))
+        bound = Fraction(norm).limit_denominator(1000) + Fraction(1, 1000)
+        coeffs, _ = form()
+        slack = rng.choice([0, Fraction(1, 2)])
+        s.add_cone(Affine(coeffs, bound + slack - at_p(coeffs, 0)), l1, l2)
+    for _ in range(rng.randint(0, nvars - 1)):
+        coeffs, _ = form()
+        s.add_eq(coeffs, -at_p(coeffs, 0))
+    for _ in range(rng.randint(0, 2)):
+        coeffs, _ = form()
+        s.add_ineq(coeffs, rng.choice([0, 1]) - at_p(coeffs, 0))
+    assert s.satisfied(p)
+    return s
+
+
+def test_numeric_candidate_matches_numpy_reference():
+    import random
+
+    rng = random.Random(7)
+    found = 0
+    for _ in range(40):
+        s = _system_through(rng, rng.randint(2, 4))
+        ref, cand = _ref_numeric_candidate(s), cones._numeric_candidate(s)
+        assert (ref is None) == (cand is None)
+        if cand is None:
+            continue
+        found += 1
+        assert max(abs(a - b) for a, b in zip(ref, cand)) < 1e-6
+        assert cones._polish(s, cand) == cones._polish(s, list(ref))
+    assert found >= 30
