@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cones import (FEASIBLE, INFEASIBLE, UNKNOWN, _wall_probe_system,
-                    boundary_meet, circle_points, positively_spanning,
-                    soc_feasible, strict_interior_point)
-from .exact import ComplexRational, as_fraction
+from .cones import (FEASIBLE, INFEASIBLE, _wall_probe_system, boundary_meet,
+                    circle_points, positively_spanning, soc_feasible,
+                    strict_interior_point)
 from .lattice import extends_to_lattice_basis
 from .toric import (ToricConfig, build_torus_data, cone_system, coords_to_point,
                     derived_values, incidence, point_to_coords)
@@ -93,8 +92,7 @@ def connectedness_test(cfg: ToricConfig, options=None) -> VerdictEntry:
 
 def compactness_test(cfg: ToricConfig) -> VerdictEntry:
     """Compact iff the dual cone of the u_k is trivial (exact LPs)."""
-    ok = positively_spanning([[Fraction(e) for e in col]
-                              for col in cfg.columns])
+    ok = positively_spanning(cfg.columns)
     return VerdictEntry("compact" if ok else "noncompact",
                         method="recession-cone-lp")
 

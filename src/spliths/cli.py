@@ -172,11 +172,6 @@ def emit_report(doc: dict, fmt: str = "json") -> str:
     raise ValueError("format must be json or text")
 
 
-def _has_unknowns(doc: dict) -> bool:
-    return any(entry["status"].startswith("unknown")
-               for entry in doc["verdicts"].values())
-
-
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--sweep-resolution", type=int, default=None)
@@ -204,9 +199,8 @@ def cmd_analyze(args) -> int:
     cfg, options = load_config(args.config)
     options = _merge_options(options, args)
     report = analyze(cfg, options)
-    doc = report_to_dict(report)
-    sys.stdout.write(emit_report(doc, args.format))
-    return 2 if _has_unknowns(doc) else 0
+    sys.stdout.write(emit_report(report_to_dict(report), args.format))
+    return 2 if report.has_unknowns() else 0
 
 
 def _parse_point(text, n):

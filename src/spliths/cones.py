@@ -235,7 +235,7 @@ def _inner_lp(sys: SOCSystem, steps: int, maximize_margin=False):
     nonneg = range(sys.nvars + extra, nv)
 
     def pad(coeffs):
-        return list(coeffs) + [Fraction(0)] * (nv - len(coeffs))
+        return list(coeffs) + [0] * (nv - len(coeffs))
 
     cons = []
     for e in sys.eqs:
@@ -250,16 +250,16 @@ def _inner_lp(sys: SOCSystem, steps: int, maximize_margin=False):
         for j, (c, s) in enumerate(dirs):
             row1[at + j] = -c
             row2[at + j] = -s
-            row0[at + j] = Fraction(-1)
+            row0[at + j] = -1
         if maximize_margin:
-            row0[sys.nvars] = Fraction(-1)
+            row0[sys.nvars] = -1
         cons.append((row1, EQ, -cone.l1.const))
         cons.append((row2, EQ, -cone.l2.const))
         cons.append((row0, GE, -cone.l0.const))
         at += npts
     if maximize_margin:
-        mvar = [Fraction(0)] * nv
-        mvar[sys.nvars] = Fraction(1)
+        mvar = [0] * nv
+        mvar[sys.nvars] = 1
         cons.append((mvar, LE, 1))
         res = solve_lp(nv, cons, objective=mvar, maximize=True,
                        nonneg=nonneg)
@@ -445,9 +445,9 @@ def wall_exclusion_certificate(sys: SOCSystem, k: int):
     at_eps = nr + ni + 3 * ne
     cons = []
 
-    def unit(i, val=1):
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(val)
+    def unit(i):
+        row = [0] * nv
+        row[i] = 1
         return row
 
     for i in range(nr):
@@ -460,7 +460,7 @@ def wall_exclusion_certificate(sys: SOCSystem, k: int):
         sel = (lambda c, p=part: (c.l0, c.l1, c.l2)[p])
         taff = sel(target)
         for v in range(n + 1):  # coefficient rows then the constant row
-            row = [Fraction(0)] * nv
+            row = [0] * nv
             for idx, j in enumerate(others):
                 aff = sel(sys.cones[j])
                 row[idx] = aff.coeffs[v] if v < n else aff.const
@@ -471,17 +471,17 @@ def wall_exclusion_certificate(sys: SOCSystem, k: int):
                 row[nr + ni + part * ne + p] = e.coeffs[v] if v < n else e.const
             rhs = taff.coeffs[v] if v < n else taff.const
             if v == n:
-                row[at_eps + part] = Fraction(1)  # eps0 / delta1 / delta2
+                row[at_eps + part] = 1  # eps0 / delta1 / delta2
             cons.append((row, EQ, rhs))
 
     # margin: eps0 - (+-delta1) - (+-delta2) >= s, s <= 1
     for s1 in (1, -1):
         for s2 in (1, -1):
-            row = [Fraction(0)] * nv
-            row[at_eps] = Fraction(1)
-            row[at_eps + 1] = Fraction(-s1)
-            row[at_eps + 2] = Fraction(-s2)
-            row[at_eps + 3] = Fraction(-1)
+            row = [0] * nv
+            row[at_eps] = 1
+            row[at_eps + 1] = -s1
+            row[at_eps + 2] = -s2
+            row[at_eps + 3] = -1
             cons.append((row, GE, 0))
     cons.append((unit(at_eps + 3), LE, 1))
 
@@ -564,8 +564,8 @@ def _outer_margin_bound(sys: SOCSystem, steps: int):
     nlin = len(sys.eqs) + len(sys.ineqs)
     cons = _outer_constraints(sys, steps)
     for i, (coeffs, _, _) in enumerate(cons):
-        coeffs.append(Fraction(0) if i < nlin else Fraction(-1))
-    mrow = [Fraction(0)] * sys.nvars + [Fraction(1)]
+        coeffs.append(0 if i < nlin else -1)
+    mrow = [0] * sys.nvars + [1]
     cons.append((mrow, LE, 1))
     res = solve_lp(sys.nvars + 1, cons, objective=mrow, maximize=True)
     if res.status == "infeasible":
@@ -612,11 +612,11 @@ def positively_spanning(u_columns) -> bool:
     if not u_columns:
         return False
     n = len(u_columns[0])
-    cons = [([as_fraction(c) for c in col], GE, 0) for col in u_columns]
+    cons = [(col, GE, 0) for col in u_columns]
     for i in range(n):
         for sign in (1, -1):
-            obj = [Fraction(0)] * n
-            obj[i] = Fraction(sign)
+            obj = [0] * n
+            obj[i] = sign
             res = solve_lp(n, cons, objective=obj, maximize=True)
             if res.status == "unbounded":
                 return False

@@ -149,26 +149,32 @@ class FlatStructure:
 
     def identities_hold(self) -> bool:
         """Exact check of the endomorphism and compatibility identities."""
-        dim = self.dim
-        ident = linalg.identity(dim)
-        minus = [[-e for e in row] for row in ident]
-        I, S, T, G = self.I, self.S, self.T, self.G
-        checks = [
-            linalg.mat_mul(I, I) == minus,
-            linalg.mat_mul(S, S) == ident,
-            linalg.mat_mul(T, T) == ident,
-            linalg.mat_mul(I, S) == T,
-            linalg.mat_mul(S, I) == [[-e for e in row] for row in T],
-            # g(aX, aY) = +-g(X, Y) as A^T G A = +-G
-            linalg.mat_mul(linalg.transpose(I), linalg.mat_mul(G, I)) == G,
-            linalg.mat_mul(linalg.transpose(S), linalg.mat_mul(G, S)) == minusify(G),
-            linalg.mat_mul(linalg.transpose(T), linalg.mat_mul(G, T)) == minusify(G),
-        ]
-        return all(checks)
+        return all(structure_identities(self.I, self.S, self.T,
+                                        self.G).values())
 
 
-def minusify(m):
-    return [[-e for e in row] for row in m]
+def structure_identities(I, S, T, G) -> dict:
+    """The eight defining relations of endomorphisms I, S, T and a metric
+    Gram matrix G, checked exactly and keyed by name: I^2 = -1,
+    S^2 = T^2 = 1, IS = T = -SI, and A^T G A = +G for I, -G for S and T."""
+    ident = linalg.identity(len(G))
+
+    def neg(m):
+        return [[-e for e in row] for row in m]
+
+    def pulled_back(a):
+        return linalg.mat_mul(linalg.transpose(a), linalg.mat_mul(G, a))
+
+    return {
+        "I_squared_minus_one": linalg.mat_mul(I, I) == neg(ident),
+        "S_squared_one": linalg.mat_mul(S, S) == ident,
+        "T_squared_one": linalg.mat_mul(T, T) == ident,
+        "IS_equals_T": linalg.mat_mul(I, S) == T,
+        "SI_equals_minus_T": linalg.mat_mul(S, I) == neg(T),
+        "g_I_invariant": pulled_back(I) == G,
+        "g_S_antiinvariant": pulled_back(S) == neg(G),
+        "g_T_antiinvariant": pulled_back(T) == neg(G),
+    }
 
 
 def flat_structure(n: int) -> FlatStructure:

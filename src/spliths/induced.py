@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exact import ComplexRational
-from .flat import FlatStructure, flat_structure
+from .flat import FlatStructure, flat_structure, structure_identities
 from .toric import ToricConfig, build_torus_data, moment_map
 
 
@@ -139,26 +139,7 @@ def _assemble(flat: FlatStructure, basis, gram) -> InducedStructure:
         om = flat.omega_gram(name, basis)
         omegas[name] = om
         endos[name] = linalg.transpose(linalg.mat_mul(om, ginv))
-    dim = len(basis)
-    ident = linalg.identity(dim)
-    neg_ident = [[-e for e in row] for row in ident]
     ei, es, et = endos["I"], endos["S"], endos["T"]
-
-    def conj_metric(a, sign):
-        lhs = linalg.mat_mul(linalg.transpose(a), linalg.mat_mul(gram, a))
-        target = gram if sign > 0 else [[-e for e in row] for row in gram]
-        return lhs == target
-
-    checks = {
-        "I_squared_minus_one": linalg.mat_mul(ei, ei) == neg_ident,
-        "S_squared_one": linalg.mat_mul(es, es) == ident,
-        "T_squared_one": linalg.mat_mul(et, et) == ident,
-        "IS_equals_T": linalg.mat_mul(ei, es) == et,
-        "SI_equals_minus_T": linalg.mat_mul(es, ei) ==
-                             [[-e for e in row] for row in et],
-        "g_I_invariant": conj_metric(ei, +1),
-        "g_S_antiinvariant": conj_metric(es, -1),
-        "g_T_antiinvariant": conj_metric(et, -1),
-    }
-    return InducedStructure(dim, basis, gram, omegas["I"], omegas["S"],
+    checks = structure_identities(ei, es, et, gram)
+    return InducedStructure(len(basis), basis, gram, omegas["I"], omegas["S"],
                             omegas["T"], ei, es, et, checks)

@@ -21,6 +21,12 @@ and the pivot choice reads only signs and the ratios rhs_i / a_ie, in which
 the row denominator cancels.  So the pivot sequence is Bland's rule exactly
 as on the dense Fraction tableau, and the witnesses, optimal values and
 Farkas certificates are the same Fractions.
+
+A constraint is (coeffs, rel, rhs) with rel one of "<=", ">=", "==".  Every
+coefficient, right-hand side and objective entry must be an int or a
+Fraction; anything else (a float, a bool, a string) raises TypeError.  This
+module alone turns a row into integers: coefficients then rhs over the lcm
+of their denominators, once per row.
 """
 
 from __future__ import annotations
@@ -44,15 +50,27 @@ class LPResult:
     farkas: list | None = None  # per-constraint multipliers when infeasible
 
 
+_EXACT = {int, Fraction}
+
+
+def _check_exact(values):
+    if not _EXACT.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT)
+        raise TypeError("LP entries must be int or Fraction, not %r" % (bad,))
+
+
 def _norm_constraints(nvars, constraints):
+    """Each row as (ints, den, rel): coefficients then rhs == ints / den."""
     out = []
     for coeffs, rel, rhs in constraints:
-        coeffs = [as_fraction(c) for c in coeffs]
         if len(coeffs) != nvars:
             raise ValueError("constraint arity %d != %d" % (len(coeffs), nvars))
         if rel not in (LE, GE, EQ):
             raise ValueError("bad relation %r" % rel)
-        out.append((coeffs, rel, as_fraction(rhs)))
+        row = [*coeffs, rhs]
+        _check_exact(row)
+        ints, den = integer_vector(row)
+        out.append((ints, den, rel))
     return out
 
 
@@ -65,14 +83,14 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
     The combination sum mult_i * row_i is accumulated in integers over one
     running positive denominator, so every sign is read from an integer.
     """
-    constraints = _norm_constraints(nvars, constraints)
+    rows = _norm_constraints(nvars, constraints)
     nonneg = set(nonneg)
-    if len(mult) != len(constraints):
+    if len(mult) != len(rows):
         return False
     combo = [0] * nvars  # combo[j] / den, total / den
     total = 0
     den = 1
-    for m, (coeffs, rel, rhs) in zip(mult, constraints):
+    for m, (row, rden, rel) in zip(mult, rows):
         m = as_fraction(m)
         if rel == GE and m < 0:
             return False
@@ -80,8 +98,7 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
             return False
         if m == 0:
             continue
-        # m * row == (m.numerator / step) * (integer row over rden)
-        row, rden = integer_vector(coeffs + [rhs])
+        # m * row == (m.numerator / step) * (row / rden)
         step = m.denominator * rden
         new_den = lcm(den, step)
         if new_den != den:
@@ -204,13 +221,17 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     objective None means pure feasibility.  Variables listed in `nonneg` are
     constrained to x_j >= 0 natively (no sign splitting).
     """
-    constraints = _norm_constraints(nvars, constraints)
+    constraints = list(constraints)  # read again by verify_farkas
+    rows = _norm_constraints(nvars, constraints)
+    if objective is not None:
+        _check_exact(objective)
     nonneg = set(nonneg)
     flips = []
     rels = []
-    for coeffs, rel, rhs in constraints:
+    for ints, _, rel in rows:
         # flip rows so rhs >= 0, and turn ">= 0" into "<= 0" so the slack
         # can start basic (no artificial variable needed)
+        rhs = ints[-1]
         if rhs < 0 or (rel == GE and rhs == 0):
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             flips.append(Fraction(-1))
@@ -238,19 +259,17 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     art_cols = set()
     s_at = nx
     a_at = nx + nslack
-    for (coeffs, _, rhs), rel, flip in zip(constraints, rels, flips):
-        nonzero = [(j, c.numerator, c.denominator)
-                   for j, c in enumerate(coeffs) if c]
-        # lcm of the denominators: the integer row is in lowest terms
-        den = lcm(rhs.denominator, *[q for _, _, q in nonzero])
+    for (ints, den, _), rel, flip in zip(rows, rels, flips):
         sign = flip.numerator
         row = [0] * (ncols + 1)
-        for j, p, q in nonzero:
-            v = sign * p * (den // q)
-            row[j] = v
-            if j in neg_col:
-                row[neg_col[j]] = -v
-        row[ncols] = sign * rhs.numerator * (den // rhs.denominator)
+        for j in range(nvars):
+            v = ints[j]
+            if v:
+                v *= sign
+                row[j] = v
+                if j in neg_col:
+                    row[neg_col[j]] = -v
+        row[ncols] = sign * ints[-1]
         if rel == LE:
             row[s_at] = den
             basis.append(s_at)
@@ -270,9 +289,9 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
 
     # phase 1
     if art_cols:
-        cost1 = [Fraction(0)] * ncols
+        cost1 = [0] * ncols
         for j in art_cols:
-            cost1[j] = Fraction(1)
+            cost1[j] = 1
         status = _simplex(tab, dens, basis, cost1, banned=set())
         assert status == "optimal"
         art_rows = [i for i in range(len(tab)) if basis[i] in art_cols]
@@ -310,9 +329,8 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     if objective is None:
         return LPResult(status="optimal", x=witness())
 
-    cost2 = [Fraction(0)] * ncols
+    cost2 = [0] * ncols
     for j, c in enumerate(objective):
-        c = as_fraction(c)
         if maximize:
             c = -c
         cost2[j] = c
@@ -322,7 +340,7 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     if status.startswith("unbounded"):
         return LPResult(status="unbounded")
     x = witness()
-    val = sum(as_fraction(c) * xi for c, xi in zip(objective, x))
+    val = sum(c * xi for c, xi in zip(objective, x))
     return LPResult(status="optimal", x=x, value=val)
 
 

@@ -202,11 +202,24 @@ def test_jsonify_rationals():
     assert jsonify({"x": (Fraction(1), None, True)}) == {"x": ["1", None, True]}
 
 
-def test_unknown_statuses_drive_exit_code():
-    from spliths.cli import _has_unknowns
+FAM1_DOC = {"d": 2, "n": 1, "u": [[1], [1]], "lambda1": ["0", "-1"],
+            "lambda2": ["0", "0"], "lambda3": ["0", "0"]}
 
-    doc = {"verdicts": {"connected": {"status": "connected"},
-                        "cint": {"status": "unknown"}}}
-    assert _has_unknowns(doc)
-    doc["verdicts"]["cint"]["status"] = "nonempty"
-    assert not _has_unknowns(doc)
+
+def test_unknown_verdict_gives_exit_code_2(tmp_path, capsys):
+    # with no stratum probed, freeness ends stratum-enumeration-capped
+    path = tmp_path / "fam1.json"
+    path.write_text(json.dumps(FAM1_DOC))
+    assert main(["analyze", str(path), "--stratum-cap", "0"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"]["freeness"]["status"] == "unknown"
+    assert doc["verdicts"]["freeness"]["method"] == "stratum-enumeration-capped"
+
+
+def test_decided_verdicts_give_exit_code_0(tmp_path, capsys):
+    path = tmp_path / "fam1.json"
+    path.write_text(json.dumps(FAM1_DOC))
+    assert main(["analyze", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(v["status"].startswith("unknown")
+                   for v in doc["verdicts"].values())

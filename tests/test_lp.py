@@ -29,6 +29,8 @@ def test_infeasible_with_certificate():
     r = lp_feasible(1, cons)
     assert r.status == "infeasible"
     assert verify_farkas(1, cons, r.farkas)
+    # solve_lp reads the rows twice (tableau, certificate check)
+    assert lp_feasible(1, iter(cons)).farkas == r.farkas
 
 
 def test_bounded_polytope_vertex():
@@ -186,6 +188,7 @@ def _dense_solve_lp(nvars, constraints, objective=None, maximize=False,
     flips = []
     rows = []
     for coeffs, rel, rhs in constraints:
+        coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
         if rhs < 0 or (rel == GE and rhs == 0):
             coeffs = [-c for c in coeffs]
             rhs = -rhs
@@ -268,7 +271,7 @@ def _dense_solve_lp(nvars, constraints, objective=None, maximize=False,
         return "optimal", witness(), None, None
     cost2 = [Fraction(0)] * ncols
     for j, c in enumerate(objective):
-        c = -c if maximize else c
+        c = -Fraction(c) if maximize else Fraction(c)
         cost2[j] = c
         if j in neg_col:
             cost2[neg_col[j]] = -c
@@ -287,7 +290,8 @@ def _circle(k):
 
 _VALUES = st.one_of(
     st.integers(-3, 3).map(Fraction),
-    st.sampled_from([Fraction(0)] * 4),
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(0)] * 2 + [0] * 2),
     st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
     st.builds(lambda k, i, neg: -_circle(k)[i] if neg else _circle(k)[i],
               st.integers(-12, 12), st.integers(0, 1), st.booleans()),
@@ -320,6 +324,7 @@ def test_matches_dense_fraction_tableau(lp):
     assert (res.status, res.x, res.value, res.farkas) == ref
     for got in (res.x, res.farkas):
         assert got is None or all(type(v) is Fraction for v in got)
+    assert res.value is None or type(res.value) is Fraction
     if res.status == "infeasible":
         assert verify_farkas(n, cons, res.farkas, nonneg)
     elif res.status == "optimal":
@@ -394,3 +399,21 @@ def test_verify_farkas_errors_and_mixed_denominators():
     with pytest.raises(ValueError):
         verify_farkas(1, [([1], "<", 0)], [1])
     assert not verify_farkas(1, [([1], GE, 1)], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2"])
+def test_entries_must_be_int_or_fraction(bad):
+    feasible = [([1, Fraction(1, 2)], LE, 1)]
+    infeasible = [([1, 0], GE, 1), ([-1, 0], GE, 0)]
+    for cons in (feasible, infeasible):
+        with_coeff = [([bad, 1], LE, 1)] + cons
+        with_rhs = [([1, 1], LE, bad)] + cons
+        for rows in (with_coeff, with_rhs):
+            with pytest.raises(TypeError):
+                solve_lp(2, rows)
+            with pytest.raises(TypeError):
+                verify_farkas(2, rows, [0] * len(rows))
+        with pytest.raises(TypeError):
+            solve_lp(2, cons, objective=[bad, 1])
+        with pytest.raises(TypeError):
+            solve_lp(2, cons, objective=[1, bad], maximize=True)
