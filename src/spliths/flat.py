@@ -7,11 +7,14 @@ constant, so the three 2-forms and the associated 4-form are closed for free.
 The metric is diagonal and each 2-form's matrix is a signed permutation (one
 entry +-1 per row), so both are evaluated from their nonzero entries: vectors
 are scaled to integers over one denominator and each value is one integer sum.
+`flat_structure(n)` builds the structure once per n and shares it, so its
+matrices are read-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -153,32 +156,60 @@ class FlatStructure:
                                         self.G).values())
 
 
+def _integer_matrix(m):
+    """(rows, den) with m == rows / den: one denominator for the matrix."""
+    scaled = [integer_vector(row) for row in m]
+    den = lcm(*(d for _, d in scaled))
+    return [[x * (den // d) for x in xs] for xs, d in scaled], den
+
+
+def _int_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _scaled(c, m):
+    return [[c * e for e in row] for row in m]
+
+
 def structure_identities(I, S, T, G) -> dict:
     """The eight defining relations of endomorphisms I, S, T and a metric
     Gram matrix G, checked exactly and keyed by name: I^2 = -1,
-    S^2 = T^2 = 1, IS = T = -SI, and A^T G A = +G for I, -G for S and T."""
-    ident = linalg.identity(len(G))
+    S^2 = T^2 = 1, IS = T = -SI, and A^T G A = +G for I, -G for S and T.
 
-    def neg(m):
-        return [[-e for e in row] for row in m]
+    Each matrix is scaled once to integers over one denominator (I = Ii/dI
+    and so on), and each relation is checked as an identity between integer
+    matrices: I^2 = -1 as Ii Ii == -dI^2, IS = T as dT Ii Si == dI dS Ti,
+    A^T G A = G as Ai^T Gi Ai == dA^2 Gi."""
+    (ii, di), (si, ds), (ti, dt), (gi, _) = map(_integer_matrix, (I, S, T, G))
+    ident = [[int(i == j) for j in range(len(G))] for i in range(len(G))]
 
     def pulled_back(a):
-        return linalg.mat_mul(linalg.transpose(a), linalg.mat_mul(G, a))
+        return _int_mul(list(zip(*a)), _int_mul(gi, a))
 
     return {
-        "I_squared_minus_one": linalg.mat_mul(I, I) == neg(ident),
-        "S_squared_one": linalg.mat_mul(S, S) == ident,
-        "T_squared_one": linalg.mat_mul(T, T) == ident,
-        "IS_equals_T": linalg.mat_mul(I, S) == T,
-        "SI_equals_minus_T": linalg.mat_mul(S, I) == neg(T),
-        "g_I_invariant": pulled_back(I) == G,
-        "g_S_antiinvariant": pulled_back(S) == neg(G),
-        "g_T_antiinvariant": pulled_back(T) == neg(G),
+        "I_squared_minus_one": _int_mul(ii, ii) == _scaled(-di * di, ident),
+        "S_squared_one": _int_mul(si, si) == _scaled(ds * ds, ident),
+        "T_squared_one": _int_mul(ti, ti) == _scaled(dt * dt, ident),
+        "IS_equals_T": _scaled(dt, _int_mul(ii, si)) == _scaled(di * ds, ti),
+        "SI_equals_minus_T": (_scaled(dt, _int_mul(si, ii))
+                              == _scaled(-di * ds, ti)),
+        "g_I_invariant": pulled_back(ii) == _scaled(di * di, gi),
+        "g_S_antiinvariant": pulled_back(si) == _scaled(-ds * ds, gi),
+        "g_T_antiinvariant": pulled_back(ti) == _scaled(-dt * dt, gi),
     }
 
 
+_FLAT_CACHE = {}
+
+
 def flat_structure(n: int) -> FlatStructure:
-    return FlatStructure(n)
+    """The flat structure on B^n, built once per n and shared by every
+    caller: read its matrices, never mutate them."""
+    cached = _FLAT_CACHE.get(n)
+    if cached is None:
+        cached = _FLAT_CACHE[n] = FlatStructure(n)
+    return cached
 
 
 def coordinate_vector(dim, k):

@@ -1,16 +1,26 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions, vectors are lists.  Sizes here are
-tiny (a few dozen rows at most), so plain Gauss-Jordan with exact pivots is
-the right tool.  `mat_mul` skips the zero entries of each row of its left
-factor, so products with the sparse flat-structure matrices stay cheap.
+Matrices are lists of lists, vectors are lists.  Entries must be ints or
+Fractions, the same contract as `lp`; products, reduced forms, kernels,
+solutions, inverses and determinants come back as Fractions.  Sizes here are
+tiny (a few dozen rows at most), and the work is done in integers:
+- `mat_mul` scales each row of its left factor and each column of its right
+  factor to integers over one denominator, so each entry is one integer dot
+  product over one product of denominators;
+- `rref` runs fraction-free Gauss-Jordan on integer rows, divided by their
+  gcd after each update, and divides each pivot row by its pivot once, at
+  the end (`rank`, `kernel_basis`, `solve` and `inverse` build on it);
+- `det` is Bareiss elimination (Bareiss 1968), one exact integer division
+  per entry and step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .exact import as_fraction
+from .exact import as_fraction, integer_vector
 
 
 def vec(entries):
@@ -37,14 +47,15 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
+    cols = [integer_vector(col) for col in zip(*b)]
     out = []
     for row in a:
-        nz = [(k, x) for k, x in enumerate(row) if x]
-        if nz:
-            out.append([sum(x * col[k] for k, x in nz) for col in bt])
+        xs, da = integer_vector(row)
+        if any(xs):
+            out.append([Fraction(sum(map(mul, xs, ys)), da * db)
+                        for ys, db in cols])
         else:
-            out.append([Fraction(0)] * len(bt))
+            out.append([Fraction(0)] * len(cols))
     return out
 
 
@@ -56,29 +67,46 @@ def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def _primitive(xs):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*xs)
+    return [x // g for x in xs] if g > 1 else xs
+
+
 def rref(m):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in m]
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers, a row is
+    updated as p * row - f * pivot_row and divided by its gcd, and each pivot
+    row is divided by its pivot at the end.  Every row stays a nonzero
+    multiple of the row plain Gauss-Jordan would hold, so the pivots are the
+    same, and the reduced form is unique.
+    """
+    rows = [_primitive(integer_vector(r)[0]) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y
+                                      for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    out = [[Fraction(x, row[c]) for x in row]
+           for row, c in zip(rows, pivots)]
+    out.extend([Fraction(0)] * ncols for _ in range(nrows - r))
+    return out, pivots
 
 
 def rank(m):
@@ -127,24 +155,37 @@ def inverse(m):
 
 
 def det(m):
-    rows = [list(r) for r in m]
+    """Determinant by Bareiss elimination on the rows scaled to integers.
+
+    After step c every entry left is a minor of the integer matrix, so each
+    division by the previous pivot is exact and the last pivot is its
+    determinant; the row denominators are divided out at the end.
+    """
+    rows = []
+    den = 1
+    for r in m:
+        xs, d = integer_vector(r)
+        rows.append(xs)
+        den *= d
     n = len(rows)
     sign = 1
-    d = Fraction(1)
+    prev = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             sign = -sign
-        d *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
+        prow = rows[c]
+        p = prow[c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * d
+            row = rows[i]
+            f = row[c]
+            rows[i] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y
+                                       in zip(row[c + 1:], prow[c + 1:])]
+        prev = p
+    return Fraction(sign * prev, den)
 
 
 def signature(m):

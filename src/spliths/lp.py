@@ -23,10 +23,10 @@ as on the dense Fraction tableau, and the witnesses, optimal values and
 Farkas certificates are the same Fractions.
 
 A constraint is (coeffs, rel, rhs) with rel one of "<=", ">=", "==".  Every
-coefficient, right-hand side and objective entry must be an int or a
-Fraction; anything else (a float, a bool, a string) raises TypeError.  This
-module alone turns a row into integers: coefficients then rhs over the lcm
-of their denominators, once per row.
+coefficient, right-hand side, objective entry and Farkas multiplier must be
+an int or a Fraction; anything else (a float, a bool, a string) raises
+TypeError.  This module alone turns a row into integers: coefficients then
+rhs over the lcm of their denominators, once per row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import as_fraction, integer_vector
+from .exact import integer_vector
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -87,11 +87,11 @@ def verify_farkas(nvars, constraints, mult, nonneg=()) -> bool:
     nonneg = set(nonneg)
     if len(mult) != len(rows):
         return False
+    _check_exact(mult)
     combo = [0] * nvars  # combo[j] / den, total / den
     total = 0
     den = 1
     for m, (row, rden, rel) in zip(mult, rows):
-        m = as_fraction(m)
         if rel == GE and m < 0:
             return False
         if rel == LE and m > 0:
@@ -218,12 +218,16 @@ def solve_lp(nvars, constraints, objective=None, maximize=False,
     """Solve min/max objective . x subject to the constraint list.
 
     constraints: iterable of (coeffs, rel, rhs) with rel in {"<=", ">=", "=="}.
-    objective None means pure feasibility.  Variables listed in `nonneg` are
+    objective None means pure feasibility; otherwise it has one entry per
+    variable (ValueError if not).  Variables listed in `nonneg` are
     constrained to x_j >= 0 natively (no sign splitting).
     """
     constraints = list(constraints)  # read again by verify_farkas
     rows = _norm_constraints(nvars, constraints)
     if objective is not None:
+        if len(objective) != nvars:
+            raise ValueError("objective length %d != %d"
+                             % (len(objective), nvars))
         _check_exact(objective)
     nonneg = set(nonneg)
     flips = []

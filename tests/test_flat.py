@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spliths import linalg as la
-from spliths.flat import coordinate_vector, flat_structure
+from spliths.flat import (coordinate_vector, flat_structure,
+                          structure_identities)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -175,3 +176,122 @@ def test_sparse_grams_match_dense_evaluation(case):
         assert gram == dense(m)
         assert all(type(e) is Fraction for row in gram for e in row)
         assert pair(vectors[0], vectors[-1]) == gram[0][-1]
+
+
+def test_flat_structure_is_built_once_per_n():
+    assert flat_structure(2) is flat_structure(2)
+    assert flat_structure(1) is not flat_structure(2)
+    with pytest.raises(ValueError):
+        flat_structure(0)
+
+
+def _dense_mul(a, b):
+    """Fraction products, zero terms skipped."""
+    cols = list(zip(*b))
+    return [[sum((Fraction(x) * y for x, y in zip(row, col) if x and y),
+                 Fraction(0)) for col in cols] for row in a]
+
+
+def _reference_identities(I, S, T, G):
+    """The eight relations checked with dense Fraction products."""
+    n = len(G)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def neg(m):
+        return [[-e for e in row] for row in m]
+
+    def pulled_back(a):
+        return _dense_mul(list(zip(*a)), _dense_mul(G, a))
+
+    return {
+        "I_squared_minus_one": _dense_mul(I, I) == neg(ident),
+        "S_squared_one": _dense_mul(S, S) == ident,
+        "T_squared_one": _dense_mul(T, T) == ident,
+        "IS_equals_T": _dense_mul(I, S) == T,
+        "SI_equals_minus_T": _dense_mul(S, I) == neg(T),
+        "g_I_invariant": pulled_back(I) == G,
+        "g_S_antiinvariant": pulled_back(S) == neg(G),
+        "g_T_antiinvariant": pulled_back(T) == neg(G),
+    }
+
+
+def _conjugated(n, p):
+    """I, S, T, G of the flat structure in the basis given by the columns
+    of p: P^-1 A P for the endomorphisms and P^T G P for the metric, so
+    every relation still holds, now with Fraction entries."""
+    fs = flat_structure(n)
+    pinv = la.inverse(p)
+    endos = [la.mat_mul(pinv, la.mat_mul(a, p)) for a in (fs.I, fs.S, fs.T)]
+    return [*endos, la.mat_mul(la.transpose(p), la.mat_mul(fs.G, p))]
+
+
+@st.composite
+def _change_of_basis(draw, dim):
+    """A nonzero diagonal times a few elementary column operations."""
+    nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                        st.integers(1, 4))
+    p = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        p[i][i] = draw(nonzero)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i != j:
+            c = draw(_ENTRIES)
+            for row in p:
+                row[j] += c * row[i]
+    return p
+
+
+@st.composite
+def _structures(draw):
+    n = draw(st.sampled_from([1, 2]))
+    dim = 4 * n
+    mats = _conjugated(n, draw(_change_of_basis(dim)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(["entry", "scale", "negate", "random"]))
+        m = [list(row) for row in mats[k]]
+        if kind == "entry":
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            m[i][j] += draw(_ENTRIES)
+        elif kind == "scale":
+            c = draw(_ENTRIES)
+            m = [[c * e for e in row] for row in m]
+        elif kind == "negate":
+            m = [[-e for e in row] for row in m]
+        else:
+            m = draw(st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim),
+                              min_size=dim, max_size=dim))
+        mats[k] = m
+    return mats
+
+
+@settings(max_examples=100, deadline=None)
+@given(_structures())
+def test_structure_identities_match_dense_reference(mats):
+    assert structure_identities(*mats) == _reference_identities(*mats)
+
+
+def test_structure_identities_see_each_broken_relation():
+    p = [[Fraction(1), Fraction(1, 2), 0, 0],
+         [0, Fraction(2, 3), 0, Fraction(-1, 5)],
+         [Fraction(3), 0, 1, 0],
+         [0, 0, Fraction(1, 7), 1]]
+    base = _conjugated(1, p)
+    assert all(structure_identities(*base).values())
+    failed = set()
+    for k in range(4):
+        for i in range(4):
+            for j in range(4):
+                mats = [[list(row) for row in m] for m in base]
+                mats[k][i][j] += Fraction(1, 3)
+                got = structure_identities(*mats)
+                assert got == _reference_identities(*mats)
+                failed.update(key for key, ok in got.items() if not ok)
+        for c in (Fraction(-1), Fraction(3, 2)):
+            mats = list(base)
+            mats[k] = [[c * e for e in row] for row in base[k]]
+            got = structure_identities(*mats)
+            assert got == _reference_identities(*mats)
+            failed.update(key for key, ok in got.items() if not ok)
+    assert failed == set(_reference_identities(*base))

@@ -417,3 +417,23 @@ def test_entries_must_be_int_or_fraction(bad):
             solve_lp(2, cons, objective=[bad, 1])
         with pytest.raises(TypeError):
             solve_lp(2, cons, objective=[1, bad], maximize=True)
+        with pytest.raises(TypeError):
+            verify_farkas(2, cons, [bad] * len(cons))
+    # a multiplier that would make a valid certificate as a Fraction
+    infeasible_1d = [([1], GE, 1), ([-1], GE, 0)]
+    assert verify_farkas(1, infeasible_1d, [1, 1])
+    with pytest.raises(TypeError):
+        verify_farkas(1, infeasible_1d, [bad, 1])
+
+
+def test_objective_needs_one_entry_per_variable():
+    box = [([1, 0], GE, 0), ([1, 0], LE, 1), ([0, 1], GE, 0), ([0, 1], LE, 1)]
+    for objective in ([1, 1, 5], [1], []):
+        for maximize in (False, True):
+            with pytest.raises(ValueError):
+                solve_lp(2, box, objective=objective, maximize=maximize)
+    res = solve_lp(2, box, objective=[1, 1], maximize=True)
+    assert (res.status, res.value) == ("optimal", 2)
+    with pytest.raises(ValueError):
+        solve_lp(0, [], objective=[1])
+    assert solve_lp(0, [], objective=[]).status == "optimal"
